@@ -14,8 +14,8 @@
 //!   run log keeps one record per count,
 //! * `--check` exits non-zero when the blocked convolution is not faster
 //!   than the reference one on the medium shape, or when the DETR
-//!   attention matmul misses its minimum speedup (the CI regression
-//!   gates),
+//!   attention matmul, the NCC backbone or the DETR head product misses
+//!   its minimum speedup (the CI regression gates),
 //! * `--out PATH` upserts the timing records into the keyed run log (one
 //!   run per `(--quick, --threads)` pair; see `support/runlog.rs`), so a
 //!   quick CI run never clobbers a full-run baseline.
@@ -23,9 +23,12 @@
 //! Every case first asserts that the two variants produce `==`-identical
 //! outputs **at the configured thread count**, so the numbers always
 //! compare equivalent kernels and a threaded run doubles as the
-//! threaded-equals-reference equality gate. The `*_batchN` cases compare
-//! a per-item loop against one population-batched call over the same
-//! inputs (their "reference" column is the loop). Each case also records
+//! threaded-equals-reference equality gate. `ncc_backbone` times the
+//! detectors' shared NCC response field against its scalar oracle
+//! (`ResponseField::compute_scalar`), which it must match bit for bit.
+//! The `*_batchN` cases compare a per-item loop against one
+//! population-batched call over the same inputs (their "reference"
+//! column is the loop). Each case also records
 //! `allocs_per_forward` — heap allocations during one warmed
 //! blocked-kernel forward, counted by a `#[global_allocator]` wrapper —
 //! which is 0 for every kernel shape at 1 thread now that weights are
@@ -39,6 +42,9 @@ mod alloc_counter;
 mod runlog;
 
 use bea_core::telemetry::JsonObject;
+use bea_detect::response::ResponseField;
+use bea_detect::templates::TemplateBank;
+use bea_scene::SyntheticKitti;
 use bea_tensor::{Conv2d, FeatureMap, KernelPolicy, Matrix, WeightInit};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -195,11 +201,40 @@ fn matmul_cases(reps: usize) -> Vec<Case> {
         allocs_per_forward: nt_allocs,
     };
 
+    // One DETR head's `softmax·V`: 192 tokens, head width 6 — every
+    // output column is an edge column of the 8-wide microkernel.
+    let head_weights = seeded_matrix(192, 192, 9);
+    let head_values = seeded_matrix(192, 6, 10);
+
     vec![
         nn(&tokens, &dense, "matmul_nn_ffn", reps),
         nt,
         nn(&scores, &values, "matmul_nn_scores_v", reps),
+        nn(&head_weights, &head_values, "matmul_nn_head_av", reps),
     ]
+}
+
+/// The shared NCC backbone (`ResponseField::compute`, the stage every
+/// YOLO and DETR forward starts with) on an evaluation-set image with a
+/// seeded template bank: the scalar oracle ("reference") against the
+/// lane-parallel kernel ("blocked"), which must agree bit for bit.
+fn ncc_case(reps: usize) -> Case {
+    let image = SyntheticKitti::evaluation_set().image(0);
+    let bank = TemplateBank::new(0.04, &mut WeightInit::from_seed(1));
+    let bits = |field: &ResponseField| {
+        field.map().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(&ResponseField::compute_scalar(&image, &bank)),
+        bits(&ResponseField::compute(&image, &bank)),
+        "ncc_backbone: kernels must agree bit for bit before timing"
+    );
+    let reference_ms =
+        time_ms(reps, || ResponseField::compute_scalar(black_box(&image), black_box(&bank)));
+    let blocked_ms = time_ms(reps, || ResponseField::compute(black_box(&image), black_box(&bank)));
+    let allocs_per_forward =
+        allocs_in(|| ResponseField::compute(black_box(&image), black_box(&bank)));
+    Case { name: "ncc_backbone", reference_ms, blocked_ms, allocs_per_forward }
 }
 
 /// How many population members the batched cases stack.
@@ -297,8 +332,9 @@ fn parse_args() -> Result<Options, String> {
                             cores; default 1); outputs are asserted identical \
                             at any count\n\
                             --check exits 1 if blocked conv is not faster than \
-                            reference on the medium shape or the DETR matmul \
-                            misses its minimum speedup\n\
+                            reference on the medium shape or the DETR matmul, \
+                            NCC backbone or head product misses its minimum \
+                            speedup\n\
                             --out upserts the timings into the keyed run log"
                     .into())
             }
@@ -314,6 +350,14 @@ fn parse_args() -> Result<Options, String> {
 /// noisy — but strictly above parity so a silent fall-back to scalar
 /// code fails the gate.
 const MIN_DETR_MATMUL_SPEEDUP: f64 = 1.1;
+
+/// The `--check` floor for the two kernels every detector evaluation
+/// spends most of its time in: the NCC backbone (lane kernel against its
+/// scalar oracle) and one DETR head's `softmax·V` (edge-tile microkernel
+/// against the reference loops). Both measure well above it on x86-64
+/// with SSE2 only; a fall-back to one serial accumulator chain per output
+/// lands near 1×.
+const MIN_HOT_KERNEL_SPEEDUP: f64 = 1.5;
 
 fn main() -> ExitCode {
     let options = match parse_args() {
@@ -332,6 +376,7 @@ fn main() -> ExitCode {
     );
 
     let mut cases: Vec<Case> = CONV_SHAPES.iter().map(|&s| conv_case(s, reps)).collect();
+    cases.push(ncc_case(reps));
     cases.extend(matmul_cases(reps));
     cases.extend(batched_cases(reps));
 
@@ -387,9 +432,23 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
+        for name in ["ncc_backbone", "matmul_nn_head_av"] {
+            let hot = cases.iter().find(|c| c.name == name).expect("hot-kernel gate case exists");
+            if hot.speedup() < MIN_HOT_KERNEL_SPEEDUP {
+                eprintln!(
+                    "kernel regression: {name} is only {:.2}x reference ({:.4} ms vs \
+                     {:.4} ms); the gate requires {MIN_HOT_KERNEL_SPEEDUP}x",
+                    hot.speedup(),
+                    hot.blocked_ms,
+                    hot.reference_ms
+                );
+                return ExitCode::FAILURE;
+            }
+        }
         println!(
             "check passed: blocked conv_medium is {:.2}x reference, \
-             DETR matmul_nn_scores_v is {:.2}x (floor {MIN_DETR_MATMUL_SPEEDUP}x)",
+             DETR matmul_nn_scores_v is {:.2}x (floor {MIN_DETR_MATMUL_SPEEDUP}x), \
+             ncc_backbone and matmul_nn_head_av clear {MIN_HOT_KERNEL_SPEEDUP}x",
             gate.speedup(),
             detr.speedup()
         );

@@ -435,6 +435,7 @@ fn drive_open_loop(options: &Options, keepalive: bool) -> Result<(Vec<OpenSample
         let stream = std::net::TcpStream::connect(&options.addr)
             .map_err(|e| format!("connect to {} failed: {e}", options.addr))?;
         stream.set_nonblocking(true).map_err(|e| format!("set_nonblocking failed: {e}"))?;
+        stream.set_nodelay(true).map_err(|e| format!("set_nodelay failed: {e}"))?;
         Ok(LoadConn {
             stream,
             request,

@@ -189,6 +189,27 @@ fn sharded_cluster_serves_byte_identical_csvs() {
     }
 }
 
+/// Keep-alive requests through the router answer at loopback speed: each
+/// hop sends its request and response in one write on a `TCP_NODELAY`
+/// socket, so no hop waits out a delayed ACK (about 88 ms a request
+/// through the router when they were written in fragments).
+#[test]
+fn keep_alive_requests_through_the_router_do_not_stall() {
+    let out = scratch("keepalive");
+    let mut proc = spawn_serve(&out, &["--shards", "1"]);
+    let mut conn =
+        client::HttpConnection::connect_to(proc.addr.clone(), Default::default()).expect("connect");
+    let started = Instant::now();
+    for _ in 0..10 {
+        assert_eq!(conn.request("GET", "/healthz", None).expect("healthz").status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(200), "10 keep-alive requests took {elapsed:?}");
+    drop(conn);
+    shutdown(&mut proc);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 #[test]
 fn killing_one_shard_loses_no_accepted_jobs() {
     let out = scratch("crash");

@@ -39,13 +39,30 @@ pub struct ResponseField {
 impl ResponseField {
     /// Computes response maps for every class in the bank.
     pub fn compute(img: &Image, bank: &TemplateBank) -> Self {
+        Self::compute_with(img, bank, ncc_into)
+    }
+
+    /// [`Self::compute`] through the scalar NCC kernel: one serial chain
+    /// of `f64` adds per origin. Bit-identical to [`Self::compute`] and
+    /// 2–3× slower; detectors never call it. It is kept as the oracle the
+    /// lane-parallel kernel is tested and benchmarked against.
+    pub fn compute_scalar(img: &Image, bank: &TemplateBank) -> Self {
+        Self::compute_with(img, bank, ncc_into_scalar)
+    }
+
+    fn compute_with(img: &Image, bank: &TemplateBank, kernel: NccKernel) -> Self {
         let half = img.downscale(BACKBONE_SCALE);
         let (h, w) = (half.height(), half.width());
         let sat = Sat::build(half.as_feature_map());
+        // Cells no template origin centres on keep their zero.
         let mut map = FeatureMap::zeros(ObjectClass::COUNT, h, w);
         for template in bank.templates() {
-            let plane = ncc_plane(half.as_feature_map(), &sat, template);
-            map.channel_mut(template.class().index()).copy_from_slice(plane.channel(0));
+            let (th, tw) = (template.height(), template.width());
+            if th > h || tw > w {
+                continue;
+            }
+            let plane = map.channel_mut(template.class().index());
+            kernel(half.as_feature_map(), &sat, template, plane, 0..(h - th + 1), 0..(w - tw + 1));
         }
         Self { map }
     }
@@ -188,17 +205,83 @@ impl Sat {
     }
 }
 
-/// Computes the NCC plane of one template over the image; the score is
-/// written at the template centre, zero near the borders.
-fn ncc_plane(img: &FeatureMap, sat: &Sat, template: &ClassTemplate) -> FeatureMap {
-    let (h, w) = (img.height(), img.width());
+/// An NCC kernel: scores the support origins `oy × ox`, writing each
+/// score at its template centre in `plane` (row stride `img.width()`).
+type NccKernel = fn(
+    &FeatureMap,
+    &Sat,
+    &ClassTemplate,
+    &mut [f32],
+    std::ops::Range<usize>,
+    std::ops::Range<usize>,
+);
+
+/// Adjacent support origins the NCC kernel scores at once, one `f64`
+/// accumulator lane per origin.
+const LANES: usize = 8;
+
+/// Patches whose per-entry standard deviation is below this floor are
+/// treated as flat (sky, road): without a floor, NCC would amplify
+/// numerical dust on constant patches to ±1.
+const MIN_PATCH_STD: f64 = 4.0;
+
+/// Turns one origin's template dot product into its NCC score and writes
+/// it at the template centre; flat patches are written as `0.0`.
+#[inline(always)]
+fn write_score(
+    sat: &Sat,
+    template: &ClassTemplate,
+    plane: &mut [f32],
+    w: usize,
+    (y0, x0): (usize, usize),
+    dot: f64,
+) {
     let (th, tw) = (template.height(), template.width());
-    let mut out = FeatureMap::zeros(1, h, w);
-    if th > h || tw > w {
-        return out;
+    let n = (3 * th * tw) as f64;
+    let centre = (y0 + th / 2) * w + (x0 + tw / 2);
+    let (s, q) = sat.rect(y0, x0, th, tw);
+    let patch_var = q - s * s / n;
+    if patch_var < n * MIN_PATCH_STD * MIN_PATCH_STD {
+        plane[centre] = 0.0;
+        return;
     }
-    ncc_into(img, sat, template, out.channel_mut(0), 0..(h - th + 1), 0..(w - tw + 1));
-    out
+    // Cross-correlation with the template, compensating the patch mean:
+    // num = Σ t·p − p̄·Σ t.
+    let num = dot - (s / n) * template.weight_sum() as f64;
+    let ncc = num / (patch_var.sqrt() * template.norm() as f64);
+    plane[centre] = ncc.clamp(-1.0, 1.0) as f32;
+}
+
+/// Template dot products `Σ t·p` of the `N` adjacent origins
+/// `(y0, x0..x0 + N)`: lane `l` sums the `(t·p) as f64` products of origin
+/// `x0 + l` in (c, ty, tx) order from `0.0` — exactly the serial chain of
+/// [`ncc_into_scalar`], run `N` chains side by side. The lanes share every
+/// template weight and read one contiguous `tw + N − 1` span per image row.
+#[inline(always)]
+fn lane_dots<const N: usize>(
+    img: &FeatureMap,
+    template: &ClassTemplate,
+    y0: usize,
+    x0: usize,
+) -> [f64; N] {
+    let w = img.width();
+    let (th, tw) = (template.height(), template.width());
+    let mut dots = [0.0f64; N];
+    for c in 0..3 {
+        let weights = template.map().channel(c);
+        let pixels = img.channel(c);
+        for ty in 0..th {
+            let start = (y0 + ty) * w + x0;
+            let row = &pixels[start..start + tw + N - 1];
+            for (tx, &t) in weights[ty * tw..(ty + 1) * tw].iter().enumerate() {
+                let window: &[f32; N] = row[tx..tx + N].try_into().expect("N-wide window");
+                for (dot, &p) in dots.iter_mut().zip(window) {
+                    *dot += (t * p) as f64;
+                }
+            }
+        }
+    }
+    dots
 }
 
 /// Computes NCC scores for the support origins `oy × ox`, writing each
@@ -206,11 +289,53 @@ fn ncc_plane(img: &FeatureMap, sat: &Sat, template: &ClassTemplate) -> FeatureMa
 /// Flat patches are written as `0.0`, so re-running a window overwrites
 /// any stale value.
 ///
-/// This is the single per-origin kernel shared by [`ncc_plane`] and
-/// [`ResponseField::recompute_window`]: both paths accumulate in the same
-/// order, which makes the incremental patch bit-identical to the full
-/// sweep.
+/// Origins are scored [`LANES`] at a time by [`lane_dots`]. A block that
+/// would run past the window's end slides left onto origins already
+/// scored (or just outside the window) and stores only its new lanes;
+/// each lane's arithmetic is independent of its block, so every score is
+/// bit-identical to [`ncc_into_scalar`]'s. Rows with fewer than `LANES`
+/// valid origins fall back to one-lane blocks.
+///
+/// This is the kernel shared by [`ResponseField::compute`] and
+/// [`ResponseField::recompute_window`], which makes the incremental patch
+/// bit-identical to the full sweep.
 fn ncc_into(
+    img: &FeatureMap,
+    sat: &Sat,
+    template: &ClassTemplate,
+    plane: &mut [f32],
+    oy: std::ops::Range<usize>,
+    ox: std::ops::Range<usize>,
+) {
+    let w = img.width();
+    // Valid origins per row are 0..origins (the caller checked tw <= w).
+    let origins = w + 1 - template.width();
+    for y0 in oy {
+        let mut x0 = ox.start;
+        while x0 < ox.end {
+            let x1 = ox.end.min(x0 + LANES);
+            if origins >= LANES {
+                let base = x0.min(origins - LANES);
+                let dots = lane_dots::<LANES>(img, template, y0, base);
+                for x in x0..x1 {
+                    write_score(sat, template, plane, w, (y0, x), dots[x - base]);
+                }
+            } else {
+                for x in x0..x1 {
+                    let [dot] = lane_dots::<1>(img, template, y0, x);
+                    write_score(sat, template, plane, w, (y0, x), dot);
+                }
+            }
+            x0 = x1;
+        }
+    }
+}
+
+/// The scalar NCC kernel [`ncc_into`] replaced: one serial chain of `f64`
+/// adds per origin, in (c, ty, tx) order. Kept as the exactness oracle of
+/// the lane kernel (tests and the kernel bench, via
+/// [`ResponseField::compute_scalar`]).
+fn ncc_into_scalar(
     img: &FeatureMap,
     sat: &Sat,
     template: &ClassTemplate,
@@ -221,23 +346,8 @@ fn ncc_into(
     let w = img.width();
     let (th, tw) = (template.height(), template.width());
     let t = template.map();
-    let n = (3 * th * tw) as f64;
-    // Patches whose per-entry standard deviation is below this floor are
-    // treated as flat (sky, road): without a floor, NCC would amplify
-    // numerical dust on constant patches to ±1.
-    const MIN_PATCH_STD: f64 = 4.0;
-    let var_floor = n * MIN_PATCH_STD * MIN_PATCH_STD;
     for y0 in oy {
         for x0 in ox.clone() {
-            let centre = (y0 + th / 2) * w + (x0 + tw / 2);
-            let (s, q) = sat.rect(y0, x0, th, tw);
-            let patch_var = q - s * s / n;
-            if patch_var < var_floor {
-                plane[centre] = 0.0;
-                continue;
-            }
-            // Cross-correlation with the template, compensating the patch
-            // mean: num = Σ t·(p − p̄) = Σ t·p − p̄·Σ t.
             let mut dot = 0.0f64;
             for c in 0..3 {
                 for ty in 0..th {
@@ -246,9 +356,7 @@ fn ncc_into(
                     }
                 }
             }
-            let num = dot - (s / n) * template.weight_sum() as f64;
-            let ncc = num / (patch_var.sqrt() * template.norm() as f64);
-            plane[centre] = ncc.clamp(-1.0, 1.0) as f32;
+            write_score(sat, template, plane, w, (y0, x0), dot);
         }
     }
 }
@@ -257,7 +365,7 @@ fn ncc_into(
 mod tests {
     use super::*;
     use bea_scene::render::{render_object, Style};
-    use bea_scene::BBox;
+    use bea_scene::{BBox, SyntheticKitti};
 
     fn scene_with(class: ObjectClass, cx: f32, cy: f32) -> Image {
         let mut img = Image::filled(128, 64, [96.0; 3]);
@@ -411,6 +519,90 @@ mod tests {
         let window = field.recompute_window(&small, &bank, &DirtyRect::new(0, 0, 4, 4));
         assert_eq!(window, DirtyRect::full(64, 32));
         assert_eq!(field, ResponseField::compute(&small, &bank));
+    }
+
+    fn bits(map: &FeatureMap) -> Vec<u32> {
+        map.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The canonical bank and jittered banks of several model seeds.
+    fn seeded_banks() -> Vec<TemplateBank> {
+        let mut banks = vec![TemplateBank::canonical()];
+        for seed in [1, 7, 25] {
+            banks.push(TemplateBank::new(0.04, &mut bea_tensor::WeightInit::from_seed(seed)));
+        }
+        banks
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_oracle_on_every_dataset_image() {
+        let images: Vec<Image> = [SyntheticKitti::evaluation_set(), SyntheticKitti::smoke_set()]
+            .iter()
+            .flat_map(|set| (0..set.len()).map(|i| set.image(i)).collect::<Vec<_>>())
+            .collect();
+        for (b, bank) in seeded_banks().iter().enumerate() {
+            for (i, img) in images.iter().enumerate() {
+                let lanes = ResponseField::compute(img, bank);
+                let scalar = ResponseField::compute_scalar(img, bank);
+                assert_eq!(bits(&lanes.map), bits(&scalar.map), "bank {b}, image {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_oracle_on_every_window_width() {
+        // Windows of 1..=LANES+3 origins at the left edge, mid-row and
+        // flush with the last valid origin (where blocks slide left), on a
+        // dataset image and on a canvas too narrow for one full block.
+        let wide = SyntheticKitti::evaluation_set().image(3);
+        let mut narrow = Image::filled(36, 40, [96.0; 3]);
+        for y in 0..40 {
+            for x in 0..36 {
+                narrow.put_pixel(x, y, [(x * 7 + y * 13) as f32 % 97.0 + 60.0, 90.0, 120.0]);
+            }
+        }
+        let class = ObjectClass::Pedestrian;
+        let (pw, ph) = class.nominal_size();
+        let support = BBox::new(12.0, 20.0, pw as f32, ph as f32);
+        render_object(&mut narrow, class, &support, &Style::canonical(class));
+        // [one-lane fallback seen, LANES-wide blocks seen]
+        let mut paths = [false; 2];
+        for bank in seeded_banks() {
+            for img in [&wide, &narrow] {
+                let half = img.downscale(BACKBONE_SCALE);
+                let map = half.as_feature_map();
+                let sat = Sat::build(map);
+                let (h, w) = (map.height(), map.width());
+                for template in bank.templates() {
+                    let (th, tw) = (template.height(), template.width());
+                    if th > h || tw > w {
+                        continue;
+                    }
+                    let origins = w - tw + 1;
+                    paths[usize::from(origins >= LANES)] = true;
+                    let rows = 0..(h - th + 1).min(3);
+                    for width in 1..=(LANES + 3).min(origins) {
+                        for start in [0, (origins - width) / 2, origins - width] {
+                            let cols = start..start + width;
+                            let mut lanes = vec![f32::NAN; h * w];
+                            let mut scalar = vec![f32::NAN; h * w];
+                            ncc_into(map, &sat, template, &mut lanes, rows.clone(), cols.clone());
+                            ncc_into_scalar(map, &sat, template, &mut scalar, rows.clone(), cols);
+                            let lanes: Vec<u32> = lanes.iter().map(|v| v.to_bits()).collect();
+                            let scalar: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(
+                                lanes,
+                                scalar,
+                                "{} template {tw}x{th} on {w}x{h}: origins {start}..{}",
+                                template.class(),
+                                start + width
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(paths, [true, true], "both kernel paths must be exercised");
     }
 
     #[test]

@@ -10,34 +10,6 @@ use bea_tensor::{FeatureMap, WeightInit};
 /// pixels only.
 const NEUTRAL: f32 = 96.0;
 
-/// Box-averages a feature map down by an integer factor (unlike
-/// [`bea_image::Image::downscale`], values may be negative).
-fn downscale_map(map: &FeatureMap, factor: usize) -> FeatureMap {
-    let nh = (map.height() / factor).max(1);
-    let nw = (map.width() / factor).max(1);
-    let mut out = FeatureMap::zeros(map.channels(), nh, nw);
-    for c in 0..map.channels() {
-        for y in 0..nh {
-            for x in 0..nw {
-                let mut acc = 0.0;
-                let mut n = 0usize;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        let sy = y * factor + dy;
-                        let sx = x * factor + dx;
-                        if sy < map.height() && sx < map.width() {
-                            acc += map.at(c, sy, sx);
-                            n += 1;
-                        }
-                    }
-                }
-                out.set(c, y, x, acc / n.max(1) as f32);
-            }
-        }
-    }
-    out
-}
-
 /// Backbone working resolution: images and templates are processed at
 /// 1/`BACKBONE_SCALE` of the input resolution (real detectors likewise
 /// operate on strided feature maps).
@@ -76,7 +48,7 @@ impl ClassTemplate {
     pub fn new(class: ObjectClass, jitter: f32, rng: &mut WeightInit) -> Self {
         let mut full = canonical_template(class).into_feature_map();
         full.map_inplace(|v| v - NEUTRAL);
-        let mut map = downscale_map(&full, BACKBONE_SCALE);
+        let mut map = full.downscale(BACKBONE_SCALE);
         if jitter > 0.0 {
             let scale = jitter * map.std_dev();
             for v in map.as_mut_slice() {

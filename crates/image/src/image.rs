@@ -156,30 +156,11 @@ impl Image {
     ///
     /// Panics if `factor == 0`.
     pub fn downscale(&self, factor: usize) -> Image {
-        assert!(factor > 0, "downscale factor must be positive");
-        let nw = (self.width() / factor).max(1);
-        let nh = (self.height() / factor).max(1);
-        let mut out = Image::black(nw, nh);
-        for c in 0..3 {
-            for y in 0..nh {
-                for x in 0..nw {
-                    let mut acc = 0.0;
-                    let mut n = 0;
-                    for dy in 0..factor {
-                        for dx in 0..factor {
-                            let sy = y * factor + dy;
-                            let sx = x * factor + dx;
-                            if sy < self.height() && sx < self.width() {
-                                acc += self.at(c, sy, sx);
-                                n += 1;
-                            }
-                        }
-                    }
-                    out.set(c, y, x, acc / n.max(1) as f32);
-                }
-            }
-        }
-        out
+        // A box mean of in-range values is in range; the clamp only keeps
+        // the type's invariant explicit.
+        let mut map = self.map.downscale(factor);
+        map.map_inplace(|v| v.clamp(0.0, 255.0));
+        Image { map }
     }
 }
 

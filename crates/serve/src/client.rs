@@ -125,26 +125,16 @@ pub fn request_with(
     timeouts: ClientTimeouts,
 ) -> io::Result<HttpResponse> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut stream = if timeouts.connect.is_zero() {
-        TcpStream::connect(addr)?
-    } else {
-        let resolved = std::net::ToSocketAddrs::to_socket_addrs(addr)?
-            .next()
-            .ok_or_else(|| invalid(format!("no address for {addr:?}")))?;
-        TcpStream::connect_timeout(&resolved, timeouts.connect)
-            .map_err(|e| timeout_error("connect", e))?
-    };
-    let optional = |d: Duration| if d.is_zero() { None } else { Some(d) };
-    stream.set_read_timeout(optional(timeouts.read))?;
-    stream.set_write_timeout(optional(timeouts.write))?;
+    let mut stream = connect(addr, timeouts)?;
+    // The whole request goes out in one write: fragments written one by
+    // one to the socket would leave as separate segments, each waiting on
+    // the peer's delayed ACK.
     let body = body.unwrap_or("");
-    write!(
-        stream,
+    let wire = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .map_err(|e| timeout_error("request write", e))?;
-    stream.flush().map_err(|e| timeout_error("request write", e))?;
+    );
+    stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
 
     // The response grammar mirrors the request grammar closely enough to
     // reuse the request parser: swap the status line for a request line.
@@ -182,7 +172,9 @@ fn read_status_line<R: io::BufRead>(reader: &mut R) -> io::Result<String> {
     Ok(line)
 }
 
-/// Resolves `addr` and connects within the configured deadline.
+/// Resolves `addr`, connects within the configured deadline and turns
+/// Nagle's algorithm off: every request is one write, and holding it back
+/// for an ACK only adds latency.
 fn connect(addr: &str, timeouts: ClientTimeouts) -> io::Result<TcpStream> {
     let stream = if timeouts.connect.is_zero() {
         TcpStream::connect(addr)?
@@ -196,6 +188,7 @@ fn connect(addr: &str, timeouts: ClientTimeouts) -> io::Result<TcpStream> {
     let optional = |d: Duration| if d.is_zero() { None } else { Some(d) };
     stream.set_read_timeout(optional(timeouts.read))?;
     stream.set_write_timeout(optional(timeouts.write))?;
+    stream.set_nodelay(true)?;
     Ok(stream)
 }
 
@@ -244,14 +237,13 @@ impl HttpConnection {
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
         let body = body.unwrap_or("");
-        write!(
-            self.stream,
+        // One buffer, one write (see `request_with`).
+        let wire = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
             self.addr,
             body.len()
-        )
-        .map_err(|e| timeout_error("request write", e))?;
-        self.stream.flush().map_err(|e| timeout_error("request write", e))?;
+        );
+        self.stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
         let mut buf = [0u8; 16 * 1024];
         loop {
             if let Some(parsed) = self.parser.next_response()? {
@@ -362,13 +354,11 @@ impl Client {
     /// [`io::ErrorKind::InvalidData`].
     pub fn progress(&self, id: &str, mut on_line: impl FnMut(&str)) -> io::Result<u16> {
         let mut stream = connect(&self.addr, self.timeouts)?;
-        write!(
-            stream,
+        let wire = format!(
             "GET /v1/attacks/{id}/progress HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n",
             self.addr
-        )
-        .map_err(|e| timeout_error("request write", e))?;
-        stream.flush().map_err(|e| timeout_error("request write", e))?;
+        );
+        stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
         let mut reader = BufReader::new(stream);
         let status_line =
             read_status_line(&mut reader).map_err(|e| timeout_error("response read", e))?;

@@ -454,17 +454,21 @@ impl Response {
     ///
     /// Propagates transport failures.
     pub fn write_to_with<W: Write>(&self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
-        write!(writer, "HTTP/1.1 {} {}\r\n", self.status, status_reason(self.status))?;
+        // Head and body leave in one write: fragments written one by one
+        // to a socket go out as separate segments, and Nagle holds each
+        // after the first until the peer's delayed ACK.
+        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, status_reason(self.status));
         for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
+            head.push_str(&format!("{name}: {value}\r\n"));
         }
-        write!(
-            writer,
+        head.push_str(&format!(
             "Content-Length: {}\r\nConnection: {}\r\n\r\n",
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
-        )?;
-        writer.write_all(&self.body)?;
+        ));
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        writer.write_all(&wire)?;
         writer.flush()
     }
 }

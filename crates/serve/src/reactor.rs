@@ -187,6 +187,9 @@ fn accept_ready(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Responses are flushed whole; Nagle would only hold the
+                // tail of a large one back for the peer's ACK.
+                let _ = stream.set_nodelay(true);
                 let token = *next_token;
                 *next_token += 1;
                 if poller.register(stream.as_raw_fd(), token, Interest::READABLE).is_err() {

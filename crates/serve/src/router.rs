@@ -197,6 +197,7 @@ fn accept_loop(listener: &TcpListener, shards: &Arc<ShardSet>, stop: &Arc<Atomic
 fn handle_connection(stream: TcpStream, shards: &Arc<ShardSet>, stop: &Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -347,13 +348,12 @@ fn open_tunnel(
     let Some(addr) = shards.addr(shard) else { return Err(shard_down(shard)) };
     let mut upstream = TcpStream::connect(&addr).map_err(|_| shard_down(shard))?;
     let _ = upstream.set_write_timeout(Some(Duration::from_secs(30)));
-    write!(
-        upstream,
+    let _ = upstream.set_nodelay(true);
+    let wire = format!(
         "{} {} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n",
         request.method, request.path
-    )
-    .map_err(|_| shard_down(shard))?;
-    upstream.flush().map_err(|_| shard_down(shard))?;
+    );
+    upstream.write_all(wire.as_bytes()).map_err(|_| shard_down(shard))?;
     Ok(upstream)
 }
 

@@ -537,6 +537,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -1046,9 +1047,10 @@ fn run_job(
 /// Runs one job of a gate group through its [`GateDetector`] handle.
 ///
 /// Identical to [`run_job`] except the detector is the gate member and
-/// the attack is pinned to one thread: the gate needs exactly one
-/// `detect_batch` post per member per generation, and the group itself
-/// is the parallelism.
+/// the attack is pinned to one thread, kernels and evaluation alike: the
+/// gate needs exactly one `detect_batch` post per member per generation
+/// (two evaluation threads posting as one member abort the process), and
+/// the group itself is the parallelism.
 fn run_job_gated(
     shared: &Shared,
     job: &AttackJob,
@@ -1059,6 +1061,7 @@ fn run_job_gated(
     let spec = job.cell_spec();
     let mut attack = job.attack_config();
     attack.threads = 1;
+    attack.nsga2.eval_threads = 1;
     let campaign = Campaign::new(CampaignConfig {
         attack,
         base_seed: job.base_seed,

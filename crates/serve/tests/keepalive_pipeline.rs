@@ -10,15 +10,16 @@
 //! same connections as chunked bodies and replay deterministically.
 
 use bea_scene::SyntheticKitti;
+use bea_serve::client::HttpConnection;
 use bea_serve::http::ResponseParser;
-use bea_serve::{Client, Server, ServerConfig};
+use bea_serve::{Client, ClientTimeouts, Server, ServerConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("bea_keepalive_{tag}_{}", std::process::id()));
@@ -195,6 +196,22 @@ fn mid_pipeline_connection_close_truncates_the_conversation() {
         parser.next_response().expect("no trailing garbage").is_none(),
         "the request after Connection: close must go unanswered"
     );
+}
+
+/// Sequential requests on one keep-alive connection answer at loopback
+/// speed: requests and responses each leave in one write on a
+/// `TCP_NODELAY` socket, so none waits out the peer's delayed ACK (about
+/// 40 ms a request when they were written in fragments).
+#[test]
+fn sequential_keep_alive_requests_do_not_stall() {
+    let mut conn = HttpConnection::connect_to(shared_server_addr(), ClientTimeouts::default())
+        .expect("connect");
+    let started = Instant::now();
+    for _ in 0..10 {
+        assert_eq!(conn.request("GET", "/healthz", None).expect("healthz").status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(200), "10 keep-alive requests took {elapsed:?}");
 }
 
 /// An HTTP/1.0 request without `Connection: keep-alive` closes after

@@ -22,7 +22,12 @@
 //! explicit 8-lane vectors (one independent output element per lane — see
 //! that module for why lanes cannot change results), and convolution is
 //! lowered to the same microkernel through an im2col matrix laid out
-//! k-major in the reference kernel's `(ic, ky, kx)` loop order.
+//! k-major in the reference kernel's `(ic, ky, kx)` loop order. Columns
+//! left over when `n` is not a multiple of `NR` run through the same
+//! microkernel too: they read a zero-padded `NR`-wide panel packed once
+//! per call from the scratch arena, and only their live lanes are stored
+//! (DETR's per-head `softmax·V` is 6 columns wide, all of them edge
+//! columns).
 //!
 //! Every loop nest additionally parallelises over *output rows* via
 //! [`crate::threads`]: the row range splits into contiguous bands, each
@@ -97,77 +102,133 @@ pub(crate) const NR: usize = 8;
 // The microkernel's column tile is exactly one SIMD lane vector.
 const _: () = assert!(NR == crate::simd::LANES);
 
+/// One register tile: rows `i0..i0 + R` of `a` (`kk` columns) against the
+/// `NR`-wide column panel whose k-th row `b_row(k)` loads. Every lane starts
+/// at its row's `row_init` and accumulates its `kk` products in ascending k
+/// with a single `f32` accumulator — the contract that makes this
+/// bit-compatible with the naive kernels. Lanes are independent, so what a
+/// padding lane computes never reaches a live one.
+#[inline(always)]
+fn tile<const R: usize>(
+    i0: usize,
+    kk: usize,
+    a: &[f32],
+    row_init: impl Fn(usize) -> f32,
+    b_row: impl Fn(usize) -> F32x8,
+) -> [F32x8; R] {
+    let mut acc = [F32x8::splat(0.0); R];
+    for (r, lanes) in acc.iter_mut().enumerate() {
+        *lanes = F32x8::splat(row_init(i0 + r));
+    }
+    for k in 0..kk {
+        let b = b_row(k);
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            lanes.mul_add(a[(i0 + r) * kk + k], b);
+        }
+    }
+    acc
+}
+
+/// Stores the first `live` lanes of each tile row into `out` (row stride
+/// `n`) at rows `i0..` and columns `j0..j0 + live`; an edge tile's padding
+/// lanes are never written.
+#[inline(always)]
+fn store_tile<const R: usize>(
+    acc: &[F32x8; R],
+    i0: usize,
+    j0: usize,
+    live: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    for (r, lanes) in acc.iter().enumerate() {
+        let start = (i0 + r) * n + j0;
+        if live == NR {
+            lanes.store(&mut out[start..start + NR]);
+        } else {
+            lanes.store_prefix(&mut out[start..start + live], live);
+        }
+    }
+}
+
+/// A zero-padded `kk × NR` k-major panel for the `live < NR` edge columns
+/// of a product, checked out of the scratch arena: row k holds
+/// `value(k, nj)` in lanes `nj < live` and `0.0` after them. Empty (and
+/// free) when there are no edge columns.
+fn edge_panel(kk: usize, live: usize, value: impl Fn(usize, usize) -> f32) -> ScratchGuard<f32> {
+    if live == 0 {
+        return ScratchGuard::with_pooled_capacity(0);
+    }
+    let mut panel: ScratchGuard<f32> = ScratchGuard::with_pooled_capacity(kk * NR);
+    panel.resize(kk * NR, 0.0);
+    for (k, row) in panel.chunks_exact_mut(NR).enumerate() {
+        for (nj, slot) in row[..live].iter_mut().enumerate() {
+            *slot = value(k, nj);
+        }
+    }
+    panel
+}
+
+/// Rows `i0..i0 + R` of [`gemm_nn`]: full column tiles stream `b`'s rows
+/// directly, the edge tile reads the padded `edge` panel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_nn_rows<const R: usize>(
+    i0: usize,
+    kk: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    edge: &[f32],
+    row_init: impl Fn(usize) -> f32 + Copy,
+    out: &mut [f32],
+) {
+    let full = n - n % NR;
+    for j0 in (0..full).step_by(NR) {
+        let acc = tile::<R>(i0, kk, a, row_init, |k| F32x8::load(&b[k * n + j0..k * n + j0 + NR]));
+        store_tile(&acc, i0, j0, NR, n, out);
+    }
+    if full < n {
+        let acc = tile::<R>(i0, kk, a, row_init, |k| F32x8::load(&edge[k * NR..k * NR + NR]));
+        store_tile(&acc, i0, full, n - full, n, out);
+    }
+}
+
 /// `out[m×n] = row_init ⊕ a[m×kk] · b[kk×n]`, with `b` row-major
 /// (contiguous along `n`). Each output element starts at `row_init(i)` and
-/// accumulates its `kk` products in ascending-k order — the contract that
-/// makes this bit-compatible with the naive kernels. Serial: the threaded
-/// entry points band the row range and call this per band.
+/// accumulates its `kk` products in ascending-k order. The `n % NR` edge
+/// columns run through the same microkernel over `edge`, their
+/// zero-padded panel (see [`edge_panel`]). Serial: the threaded entry
+/// point packs `edge` once, bands the row range and calls this per band.
+#[allow(clippy::too_many_arguments)]
 fn gemm_nn<I: Fn(usize) -> f32>(
     m: usize,
     kk: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
+    edge: &[f32],
     row_init: I,
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * kk);
     debug_assert_eq!(b.len(), kk * n);
     debug_assert_eq!(out.len(), m * n);
+    debug_assert!(n.is_multiple_of(NR) || edge.len() == kk * NR);
     let mut i0 = 0;
     while i0 + MR <= m {
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let mut acc = [F32x8::splat(0.0); MR];
-            for (mi, lanes) in acc.iter_mut().enumerate() {
-                *lanes = F32x8::splat(row_init(i0 + mi));
-            }
-            for k in 0..kk {
-                let b_row = F32x8::load(&b[k * n + j0..k * n + j0 + NR]);
-                for (mi, lanes) in acc.iter_mut().enumerate() {
-                    lanes.mul_add(a[(i0 + mi) * kk + k], b_row);
-                }
-            }
-            for (mi, lanes) in acc.iter().enumerate() {
-                lanes.store(&mut out[(i0 + mi) * n + j0..(i0 + mi) * n + j0 + NR]);
-            }
-            j0 += NR;
-        }
-        for j in j0..n {
-            for mi in 0..MR {
-                let i = i0 + mi;
-                let mut acc = row_init(i);
-                for k in 0..kk {
-                    acc += a[i * kk + k] * b[k * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
+        gemm_nn_rows::<MR>(i0, kk, n, a, b, edge, &row_init, out);
         i0 += MR;
     }
     for i in i0..m {
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let mut acc = F32x8::splat(row_init(i));
-            for k in 0..kk {
-                acc.mul_add(a[i * kk + k], F32x8::load(&b[k * n + j0..k * n + j0 + NR]));
-            }
-            acc.store(&mut out[i * n + j0..i * n + j0 + NR]);
-            j0 += NR;
-        }
-        for j in j0..n {
-            let mut acc = row_init(i);
-            for k in 0..kk {
-                acc += a[i * kk + k] * b[k * n + j];
-            }
-            out[i * n + j] = acc;
-        }
+        gemm_nn_rows::<1>(i, kk, n, a, b, edge, &row_init, out);
     }
 }
 
-/// [`gemm_nn`] with the output rows banded over the scoped worker pool.
-/// Each band runs the serial kernel on its disjoint slice of `a`/`out`, so
-/// the result is bit-identical at any thread count.
+/// [`gemm_nn`] with the edge panel packed once on the calling thread and
+/// the output rows banded over the scoped worker pool. Each band runs the
+/// serial kernel on its disjoint slice of `a`/`out`, so the result is
+/// bit-identical at any thread count.
 fn gemm_nn_threaded<I: Fn(usize) -> f32 + Sync>(
     m: usize,
     kk: usize,
@@ -180,68 +241,46 @@ fn gemm_nn_threaded<I: Fn(usize) -> f32 + Sync>(
     if m == 0 || n == 0 {
         return;
     }
+    let full = n - n % NR;
+    let edge = edge_panel(kk, n - full, |k, nj| b[k * n + full + nj]);
     threads::parallel_row_bands(out, n, m, m * kk * n, |row0, band| {
         let rows = band.len() / n;
-        gemm_nn(rows, kk, n, &a[row0 * kk..(row0 + rows) * kk], b, |i| row_init(row0 + i), band);
+        let a = &a[row0 * kk..(row0 + rows) * kk];
+        gemm_nn(rows, kk, n, a, b, &edge, |i| row_init(row0 + i), band);
     });
 }
 
 /// The NT microkernel over pre-transposed panels: `out[m×n] = a · bᵀ` where
 /// `panels` holds `b`'s full `NR`-wide column tiles k-major (layout
-/// `panel[k·NR + nj] = b[(j0+nj)·kk + k]`, tiles concatenated) and ragged
-/// tail columns are read from `b`'s rows directly. Accumulation order per
-/// output element is ascending k, as everywhere in this module. Serial:
-/// callers band the row range.
+/// `panel[k·NR + nj] = b[(j0+nj)·kk + k]`, tiles concatenated) and `edge`
+/// the same layout for the `n % NR` edge columns, zero-padded to `NR`
+/// lanes. Accumulation order per output element is ascending k, as
+/// everywhere in this module. Serial: callers band the row range.
 fn gemm_nt_panels(
     m: usize,
     kk: usize,
     n: usize,
     a: &[f32],
     panels: &[f32],
-    b: &[f32],
+    edge: &[f32],
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * kk);
-    debug_assert_eq!(b.len(), n * kk);
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(panels.len(), (n / NR) * kk * NR);
+    debug_assert!(n.is_multiple_of(NR) || edge.len() == kk * NR);
     let span = kk * NR;
-    let mut j0 = 0;
-    let mut tile = 0;
-    while j0 + NR <= n {
-        let pack = &panels[tile * span..(tile + 1) * span];
+    for j0 in (0..n).step_by(NR) {
+        let live = NR.min(n - j0);
+        let pack = if live == NR { &panels[j0 * kk..j0 * kk + span] } else { edge };
+        let b_row = |k: usize| F32x8::load(&pack[k * NR..k * NR + NR]);
         let mut i0 = 0;
         while i0 + MR <= m {
-            let mut acc = [F32x8::splat(0.0); MR];
-            for k in 0..kk {
-                let b_row = F32x8::load(&pack[k * NR..k * NR + NR]);
-                for (mi, lanes) in acc.iter_mut().enumerate() {
-                    lanes.mul_add(a[(i0 + mi) * kk + k], b_row);
-                }
-            }
-            for (mi, lanes) in acc.iter().enumerate() {
-                lanes.store(&mut out[(i0 + mi) * n + j0..(i0 + mi) * n + j0 + NR]);
-            }
+            store_tile(&tile::<MR>(i0, kk, a, |_| 0.0, b_row), i0, j0, live, n, out);
             i0 += MR;
         }
         for i in i0..m {
-            let mut acc = F32x8::splat(0.0);
-            for k in 0..kk {
-                acc.mul_add(a[i * kk + k], F32x8::load(&pack[k * NR..k * NR + NR]));
-            }
-            acc.store(&mut out[i * n + j0..i * n + j0 + NR]);
-        }
-        j0 += NR;
-        tile += 1;
-    }
-    // Edge columns: each dot product reads two contiguous kk-length rows.
-    for j in j0..n {
-        for i in 0..m {
-            let mut acc = 0.0f32;
-            for k in 0..kk {
-                acc += a[i * kk + k] * b[j * kk + k];
-            }
-            out[i * n + j] = acc;
+            store_tile(&tile::<1>(i, kk, a, |_| 0.0, b_row), i, j0, live, n, out);
         }
     }
 }
@@ -253,26 +292,31 @@ fn gemm_nt_panels_threaded(
     n: usize,
     a: &[f32],
     panels: &[f32],
-    b: &[f32],
+    edge: &[f32],
     out: &mut [f32],
 ) {
-    if m == 0 || n == 0 {
-        return;
-    }
     threads::parallel_row_bands(out, n, m, m * kk * n, |row0, band| {
         let rows = band.len() / n;
-        gemm_nt_panels(rows, kk, n, &a[row0 * kk..(row0 + rows) * kk], panels, b, band);
+        gemm_nt_panels(rows, kk, n, &a[row0 * kk..(row0 + rows) * kk], panels, edge, band);
     });
 }
 
+/// The zero-padded NT edge panel of `b` (`n × kk`, row-major): lanes hold
+/// `b`'s rows `n - n % NR..n`, k-major.
+fn nt_edge_panel(kk: usize, n: usize, b: &[f32]) -> ScratchGuard<f32> {
+    let full = n - n % NR;
+    edge_panel(kk, n - full, |k, nj| b[(full + nj) * kk + k])
+}
+
 /// `out[m×n] = a[m×kk] · b[n×kk]ᵀ`, with both operands row-major. All of
-/// `b`'s full `NR`-wide column tiles are transpose-packed k-major **once on
-/// the calling thread** (the pack buffer comes from the caller's scratch
-/// arena — `q·kᵀ` runs this with a data-dependent `b` every iteration, and
-/// pooling keeps that allocation-free at steady state), then the row range
-/// fans out over the worker pool. Packing on the caller rather than per
-/// worker band avoids duplicate transposes and keeps the scratch checkout
-/// on the thread whose pool outlives the scoped workers.
+/// `b`'s full `NR`-wide column tiles — and its padded edge tile — are
+/// transpose-packed k-major **once on the calling thread** (the pack
+/// buffers come from the caller's scratch arena — `q·kᵀ` runs this with a
+/// data-dependent `b` every iteration, and pooling keeps that
+/// allocation-free at steady state), then the row range fans out over the
+/// worker pool. Packing on the caller rather than per worker band avoids
+/// duplicate transposes and keeps the scratch checkout on the thread whose
+/// pool outlives the scoped workers.
 fn gemm_nt(m: usize, kk: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * kk);
     debug_assert_eq!(b.len(), n * kk);
@@ -295,14 +339,15 @@ fn gemm_nt(m: usize, kk: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
             }
         }
     }
-    gemm_nt_panels_threaded(m, kk, n, a, &pack, b, out);
+    gemm_nt_panels_threaded(m, kk, n, a, &pack, &nt_edge_panel(kk, n, b), out);
 }
 
-/// [`gemm_nt`] with the transpose-pack hoisted out: full `NR`-wide column
-/// tiles read `packed`'s construction-time panels (identical layout and
-/// values to the per-call pack), ragged tail columns read `b` directly —
-/// exactly as the per-call kernel does. Same ascending-k single-accumulator
-/// order, so the output is bit-identical to [`gemm_nt`].
+/// [`gemm_nt`] with the full-tile transpose-pack hoisted out: full
+/// `NR`-wide column tiles read `packed`'s construction-time panels
+/// (identical layout and values to the per-call pack), and the edge tile
+/// is packed per call from `b` exactly as [`gemm_nt`] packs it. Same
+/// ascending-k single-accumulator order, so the output is bit-identical to
+/// [`gemm_nt`].
 pub(crate) fn gemm_nt_prepacked(
     m: usize,
     kk: usize,
@@ -317,7 +362,10 @@ pub(crate) fn gemm_nt_prepacked(
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(packed.rows(), n);
     debug_assert_eq!(packed.inner_dim(), kk);
-    gemm_nt_panels_threaded(m, kk, n, a, packed.all_panels(), b, out);
+    if m == 0 || n == 0 {
+        return;
+    }
+    gemm_nt_panels_threaded(m, kk, n, a, packed.all_panels(), &nt_edge_panel(kk, n, b), out);
 }
 
 /// Blocked matrix product `a · b` (the fast path of
@@ -622,6 +670,55 @@ mod tests {
                 a.matmul(&b).unwrap(),
                 "shape ({m},{kk},{n})"
             );
+        }
+    }
+
+    /// `(m, kk, n)` shapes covering every edge-column count: n ∈ 1..=15
+    /// (one to seven edge lanes beside zero or one full tile) with row
+    /// counts that are not multiples of `MR`, plus DETR's per-head
+    /// `softmax·V` product (192×192 · 192×6: six edge lanes, no full tile).
+    fn edge_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes: Vec<_> =
+            (1..=15).flat_map(|n| [(1, 3, n), (6, 5, n), (MR * 2 + 3, 9, n)]).collect();
+        shapes.push((192, 192, 6));
+        shapes
+    }
+
+    #[test]
+    fn blocked_nn_edge_columns_match_reference_bitwise() {
+        for (m, kk, n) in edge_shapes() {
+            let a = noisy(m, kk, 0.3);
+            let b = noisy(kk, n, 2.9);
+            let blocked = matmul_blocked(&a, &b).unwrap();
+            let reference = a.matmul(&b).unwrap();
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&blocked), bits(&reference), "shape ({m},{kk},{n})");
+            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 1.0).collect();
+            let biased = gemm_bias(&a, &b, &bias).unwrap();
+            for (i, &init) in bias.iter().enumerate() {
+                for j in 0..n {
+                    let mut acc = init;
+                    for k in 0..kk {
+                        acc += a.at(i, k) * b.at(k, j);
+                    }
+                    assert_eq!(biased.at(i, j).to_bits(), acc.to_bits(), "bias ({m},{kk},{n})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_nt_edge_columns_match_reference_bitwise() {
+        for (m, kk, n) in edge_shapes() {
+            let a = noisy(m, kk, 0.9);
+            let b = noisy(n, kk, 1.7);
+            let reference = a.matmul(&b.transpose()).unwrap();
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let per_call = matmul_nt_blocked(&a, &b).unwrap();
+            assert_eq!(bits(&per_call), bits(&reference), "nt ({m},{kk},{n})");
+            let packed = PackedWeights::pack(&b);
+            let prepacked = crate::pack::matmul_nt_packed(&a, &b, &packed).unwrap();
+            assert_eq!(bits(&prepacked), bits(&reference), "nt_packed ({m},{kk},{n})");
         }
     }
 

@@ -12,9 +12,10 @@
 //! bit-identical to both the per-call blocked kernel and the reference
 //! loop nest.
 //!
-//! Ragged tail columns (`n % NR != 0`) are deliberately *not* packed —
-//! the per-call kernel computes them straight from `b`'s rows, and the
-//! prepacked path does the same, reading the original weight matrix.
+//! Ragged edge columns (`n % NR != 0`) are deliberately *not* packed
+//! here: both the per-call kernel and the prepacked path pack their
+//! zero-padded `NR`-wide panel per call from the original weight matrix,
+//! so the two read the same values.
 //!
 //! Scope: only the NT product with a *constant* right-hand side benefits.
 //! `Linear` (`y = x·Wᵀ`) and therefore every `MultiHeadAttention`
@@ -77,7 +78,8 @@ impl PackedWeights {
     }
 
     /// Number of full `NR`-wide tiles that were packed; the remaining
-    /// `rows % NR` ragged columns are read from the original matrix.
+    /// `rows % NR` ragged columns are packed per call from the original
+    /// matrix.
     pub fn full_tiles(&self) -> usize {
         self.rows / Self::TILE_COLS
     }

@@ -62,6 +62,17 @@ impl F32x8 {
     pub fn store(self, out: &mut [f32]) {
         out[..LANES].copy_from_slice(&self.0);
     }
+
+    /// Stores the first `live` lanes into `out[..live]` — the partial
+    /// store of an edge tile whose remaining lanes are padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live > LANES` or `out` holds fewer than `live` values.
+    #[inline(always)]
+    pub fn store_prefix(self, out: &mut [f32], live: usize) {
+        out[..live].copy_from_slice(&self.0[..live]);
+    }
 }
 
 #[cfg(test)]
@@ -101,5 +112,9 @@ mod tests {
         v.store(&mut out);
         assert_eq!(out.as_slice(), data.as_slice());
         assert_eq!(F32x8::splat(2.0).0, [2.0; LANES]);
+        let mut prefix = [9.0f32; LANES];
+        v.store_prefix(&mut prefix, 3);
+        assert_eq!(&prefix[..3], &data[..3]);
+        assert_eq!(&prefix[3..], &[9.0; LANES - 3]);
     }
 }

@@ -170,6 +170,43 @@ impl FeatureMap {
         FeatureMap { channels: self.channels, height: self.height, width: self.width, data }
     }
 
+    /// Box-averages the map down by an integer `factor`: cell `(y, x)` of
+    /// each output channel is the mean of the `factor × factor` input box
+    /// at `(y·factor, x·factor)`, summed from `0.0` row by row, left to
+    /// right. Trailing rows and columns that do not fill a box are
+    /// dropped, except that a map smaller than `factor` still yields one
+    /// cell per axis averaging what exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor == 0`.
+    pub fn downscale(&self, factor: usize) -> FeatureMap {
+        assert!(factor > 0, "downscale factor must be positive");
+        let (h, w) = (self.height, self.width);
+        let nh = (h / factor).max(1);
+        let nw = (w / factor).max(1);
+        let mut out = FeatureMap::zeros(self.channels, nh, nw);
+        let count = |len: usize| factor.min(len);
+        let divisor = (count(h) * count(w)).max(1) as f32;
+        for c in 0..self.channels {
+            let src = self.channel(c);
+            for (y, out_row) in out.channel_mut(c).chunks_exact_mut(nw).enumerate() {
+                for sy in y * factor..((y + 1) * factor).min(h) {
+                    let src_row = &src[sy * w..(sy + 1) * w];
+                    for (acc, cell) in out_row.iter_mut().zip(src_row.chunks(factor)) {
+                        for &v in cell {
+                            *acc += v;
+                        }
+                    }
+                }
+                for acc in out_row.iter_mut() {
+                    *acc /= divisor;
+                }
+            }
+        }
+        out
+    }
+
     /// Applies `f` to every element in place.
     pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
         for v in &mut self.data {
@@ -333,6 +370,51 @@ mod tests {
         assert_eq!(m.at(1, 2, 3), 42.0);
         assert_eq!(m.at(0, 0, 0), -1.0);
         assert_eq!(m.at(1, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn downscale_matches_per_cell_box_loop_bitwise() {
+        // The per-cell loop the row-slice kernel replaced: each output
+        // cell sums its box from 0.0 in (dy, dx) order over the cells
+        // that exist, then divides by their count.
+        fn per_cell(map: &FeatureMap, factor: usize) -> FeatureMap {
+            let nh = (map.height() / factor).max(1);
+            let nw = (map.width() / factor).max(1);
+            let mut out = FeatureMap::zeros(map.channels(), nh, nw);
+            for c in 0..map.channels() {
+                for y in 0..nh {
+                    for x in 0..nw {
+                        let (mut acc, mut n) = (0.0f32, 0usize);
+                        for dy in 0..factor {
+                            for dx in 0..factor {
+                                let (sy, sx) = (y * factor + dy, x * factor + dx);
+                                if sy < map.height() && sx < map.width() {
+                                    acc += map.at(c, sy, sx);
+                                    n += 1;
+                                }
+                            }
+                        }
+                        out.set(c, y, x, acc / n.max(1) as f32);
+                    }
+                }
+            }
+            out
+        }
+        for (c, h, w) in [(3, 64, 192), (3, 7, 9), (1, 1, 5), (2, 3, 1), (3, 0, 4), (1, 4, 0)] {
+            let mut map = FeatureMap::zeros(c, h, w);
+            for (i, v) in map.as_mut_slice().iter_mut().enumerate() {
+                // Signed values and negative zeros: the sum starts at +0.0.
+                *v = if i % 11 == 0 { -0.0 } else { ((i as f32) * 0.71).sin() * 97.0 };
+            }
+            for factor in 1..=4 {
+                let fast = map.downscale(factor);
+                let slow = per_cell(&map, factor);
+                assert_eq!(fast.shape(), slow.shape(), "({c},{h},{w}) / {factor}");
+                let bits =
+                    |m: &FeatureMap| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "({c},{h},{w}) / {factor}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Kernel micro-benchmark: reference vs blocked GEMM/im2col (plus the
-# population-batched cases) on the detectors' hot shapes. Writes
-# BENCH_kernels.json at the repo root — one record per (--quick,
-# --threads) pair — and fails (via --check) when the blocked convolution
-# regresses below the reference one on the medium shape or the DETR
-# attention matmul misses its minimum speedup.
+# Kernel micro-benchmark: reference vs blocked GEMM/im2col, the NCC
+# backbone against its scalar oracle (plus the population-batched cases)
+# on the detectors' hot shapes. Writes BENCH_kernels.json at the repo
+# root — one record per (--quick, --threads) pair — and fails (via
+# --check) when the blocked convolution regresses below the reference one
+# on the medium shape, or the DETR attention matmul, the NCC backbone or
+# the DETR head product misses its minimum speedup.
 #
 # Usage: scripts/bench_kernels.sh [--quick] [--threads N]
 set -euo pipefail
