@@ -9,32 +9,26 @@
 //! ```
 //!
 //! * `--quick` shrinks the repetition count for smoke runs,
-//! * `--threads N` sets the kernel worker-thread count (0 = all cores;
-//!   default 1) — CI smoke runs the bench at 1 and N threads and the
-//!   run log keeps one record per count,
 //! * `--check` exits non-zero when the blocked convolution is not faster
 //!   than the reference one on the medium shape, or when the DETR
 //!   attention matmul, the NCC backbone or the DETR head product misses
 //!   its minimum speedup (the CI regression gates),
 //! * `--out PATH` upserts the timing records into the keyed run log (one
-//!   run per `(--quick, --threads)` pair; see `support/runlog.rs`), so a
-//!   quick CI run never clobbers a full-run baseline.
+//!   run per `--quick` value; see `support/runlog.rs`), so a quick CI run
+//!   never clobbers a full-run baseline.
 //!
 //! Every case first asserts that the two variants produce `==`-identical
-//! outputs **at the configured thread count**, so the numbers always
-//! compare equivalent kernels and a threaded run doubles as the
-//! threaded-equals-reference equality gate. `ncc_backbone` times the
+//! outputs, so the numbers always compare equivalent kernels. Every kernel
+//! runs on the calling thread. `ncc_backbone` times the
 //! detectors' shared NCC response field against its scalar oracle
 //! (`ResponseField::compute_scalar`), which it must match bit for bit.
-//! The `*_batchN` cases compare a per-item loop against one
-//! population-batched call over the same inputs (their "reference"
-//! column is the loop). Each case also records
+//! `matmul_ffn_batch4` compares a per-item loop against the stacked call
+//! DETR's batched encoder pass makes over the same inputs (its
+//! "reference" column is the loop). Each case also records
 //! `allocs_per_forward` — heap allocations during one warmed
 //! blocked-kernel forward, counted by a `#[global_allocator]` wrapper —
-//! which is 0 for every kernel shape at 1 thread now that weights are
-//! pre-packed and intermediates come from the scratch arenas (worker
-//! threads beyond the first are scoped spawns, so multi-thread runs pay
-//! a handful of allocations per call by design).
+//! which is 0 for every case now that weights are pre-packed and
+//! intermediates come from the scratch arenas.
 
 #[path = "support/alloc_counter.rs"]
 mod alloc_counter;
@@ -237,15 +231,15 @@ fn ncc_case(reps: usize) -> Case {
     Case { name: "ncc_backbone", reference_ms, blocked_ms, allocs_per_forward }
 }
 
-/// How many population members the batched cases stack.
+/// How many population members the batched case stacks.
 const BATCH: usize = 4;
 
-/// Population-batched cases: a per-item loop ("reference" column) versus
-/// one batched call over the same inputs, both on the blocked kernels.
-/// The batched outputs must be `==`-identical to the looped ones — the
-/// row-banded GEMMs compute each output row independently, so stacking
-/// items only changes how much work one call carries.
-fn batched_cases(reps: usize) -> Vec<Case> {
+/// DETR's stacked encoder pass: a per-item loop ("reference" column)
+/// versus one batched call over the same inputs, both on the blocked
+/// kernels. The batched outputs must be `==`-identical to the looped ones
+/// — the GEMMs compute each output row independently, so stacking items
+/// only changes how much work one call carries.
+fn batched_case(reps: usize) -> Case {
     // DETR encoder feed-forward over a whole population: the stacked
     // (BATCH·384)×24 GEMM against BATCH separate 384×24 GEMMs.
     let items: Vec<Matrix> = (0..BATCH).map(|i| seeded_matrix(384, 24, 20 + i as u64)).collect();
@@ -274,63 +268,28 @@ fn batched_cases(reps: usize) -> Vec<Case> {
     let allocs_per_forward = allocs_in(|| {
         black_box(&stacked).matmul_policy(black_box(&dense), KernelPolicy::Blocked).unwrap()
     });
-    let ffn = Case { name: "matmul_ffn_batch4", reference_ms, blocked_ms, allocs_per_forward };
-
-    // The CI-gate convolution over a whole population: one im2col_batch
-    // + single wide GEMM against BATCH separate forwards.
-    let (_, oc, ic, k, stride, padding, in_h, in_w) = CONV_SHAPES[1];
-    let mut init = WeightInit::from_seed(7);
-    let mut conv = Conv2d::seeded(oc, ic, k, k, stride, padding, &mut init)
-        .expect("bench conv shape must be valid");
-    conv.set_kernel_policy(KernelPolicy::Blocked);
-    let inputs: Vec<FeatureMap> =
-        (0..BATCH).map(|i| seeded_map(ic, in_h, in_w, 30 + i as u64)).collect();
-    let input_refs: Vec<&FeatureMap> = inputs.iter().collect();
-    let batched = conv.forward_batch(&input_refs).unwrap();
-    for (input, out) in inputs.iter().zip(&batched) {
-        assert_eq!(
-            &conv.forward(input).unwrap(),
-            out,
-            "conv_medium_batch{BATCH}: batched outputs must match per-item outputs"
-        );
-    }
-    let reference_ms = time_ms(reps, || {
-        inputs.iter().map(|input| conv.forward(black_box(input)).unwrap()).collect::<Vec<_>>()
-    });
-    let blocked_ms = time_ms(reps, || conv.forward_batch(black_box(&input_refs)).unwrap());
-    let allocs_per_forward = allocs_in(|| conv.forward_batch(black_box(&input_refs)).unwrap());
-    let conv_case =
-        Case { name: "conv_medium_batch4", reference_ms, blocked_ms, allocs_per_forward };
-    vec![ffn, conv_case]
+    Case { name: "matmul_ffn_batch4", reference_ms, blocked_ms, allocs_per_forward }
 }
 
 struct Options {
     quick: bool,
     check: bool,
     out: Option<String>,
-    threads: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut options = Options { quick: false, check: false, out: None, threads: 1 };
+    let mut options = Options { quick: false, check: false, out: None };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--quick" => options.quick = true,
             "--check" => options.check = true,
             "--out" => options.out = Some(args.next().ok_or("--out needs a value")?),
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                options.threads = value.parse().map_err(|e| format!("--threads {value:?}: {e}"))?;
-            }
             // cargo bench forwards a --bench marker to harness=false targets.
             "--bench" => {}
             "--help" | "-h" => {
-                return Err("usage: kernels [--quick] [--check] [--out PATH] [--threads N]\n\
+                return Err("usage: kernels [--quick] [--check] [--out PATH]\n\
                             --quick reduces repetitions for smoke runs\n\
-                            --threads sets the kernel worker threads (0 = all \
-                            cores; default 1); outputs are asserted identical \
-                            at any count\n\
                             --check exits 1 if blocked conv is not faster than \
                             reference on the medium shape or the DETR matmul, \
                             NCC backbone or head product misses its minimum \
@@ -368,17 +327,11 @@ fn main() -> ExitCode {
         }
     };
     let reps = if options.quick { 5 } else { 30 };
-    bea_tensor::threads::set_threads(options.threads);
-    println!(
-        "kernel threads: {} requested, {} resolved",
-        options.threads,
-        bea_tensor::threads::threads()
-    );
 
     let mut cases: Vec<Case> = CONV_SHAPES.iter().map(|&s| conv_case(s, reps)).collect();
     cases.push(ncc_case(reps));
     cases.extend(matmul_cases(reps));
-    cases.extend(batched_cases(reps));
+    cases.push(batched_case(reps));
 
     println!(
         "{:<20} {:>14} {:>12} {:>9} {:>20}",
@@ -400,7 +353,6 @@ fn main() -> ExitCode {
         let run = JsonObject::new()
             .boolean("quick", options.quick)
             .integer("reps", reps as u64)
-            .integer("threads", options.threads as u64)
             .raw("cases", &format!("[{}]", rendered.join(",")))
             .finish();
         if let Err(e) = runlog::merge_keyed_run(path, "kernels", &run) {

@@ -147,11 +147,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The zero-allocation contract is defined at one kernel thread:
-    // worker threads beyond the first are scoped spawns (they allocate a
-    // few stack handles per parallel region by design), so the gate pins
-    // the knob rather than inheriting whatever the environment left.
-    bea_tensor::threads::set_threads(1);
     let (warmup, iters) = if options.quick { (3, 2) } else { (8, 5) };
 
     let configs = [

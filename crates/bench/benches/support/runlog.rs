@@ -4,12 +4,12 @@
 //! `BENCH_*.json` file. Overwriting would make a quick run destroy the
 //! full-run baseline, so `--out` upserts instead: the document is
 //! `{"bench": NAME, "runs": [RUN, ...]}` where each run carries a boolean
-//! `"quick"` key, an optional integer `"threads"` key and an optional
-//! boolean `"keepalive"` key, and writing a run replaces the existing
-//! run with the same `(quick, threads, keepalive)` triple (or appends
-//! when none exists) — so the thread-count sweep the CI smoke performs
-//! keeps one record per count, and the serve bench keeps keep-alive and
-//! close-per-request records side by side. Legacy single-run
+//! `"quick"` key, an optional integer `"threads"` key (loadgen's
+//! connection count) and an optional boolean `"keepalive"` key, and
+//! writing a run replaces the existing run with the same
+//! `(quick, threads, keepalive)` triple (or appends when none exists) —
+//! so the serve bench keeps one record per concurrency, with keep-alive
+//! and close-per-request records side by side. Legacy single-run
 //! documents (`{"bench": ..., "quick": ..., "cases": [...]}`) are
 //! auto-converted into a one-element `runs` array on first merge.
 //!

@@ -31,7 +31,6 @@ struct Options {
     kernels: KernelPolicy,
     strategy: AttackStrategy,
     epsilon: f32,
-    threads: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -47,7 +46,6 @@ fn parse_args() -> Result<Options, String> {
         kernels: KernelPolicy::default(),
         strategy: AttackStrategy::default(),
         epsilon: AttackConfig::default().whitebox_epsilon,
-        threads: 0,
     };
     let mut args = ArgParser::from_env();
     while let Some(flag) = args.next_flag() {
@@ -70,21 +68,18 @@ fn parse_args() -> Result<Options, String> {
             "--kernels" => options.kernels = args.parse(&flag)?,
             "--strategy" => options.strategy = args.parse(&flag)?,
             "--epsilon" => options.epsilon = args.parse(&flag)?,
-            "--threads" => options.threads = args.parse(&flag)?,
             "--help" | "-h" => {
                 return Err("usage: attack_cli [--arch yolo|detr] [--seed N] [--image N] \
                             [--pop N] [--gens N] [--constraint full|left-half|right-half] \
                             [--out DIR] [--cache] [--kernels reference|blocked] \
-                            [--strategy nsga2|fgsm|pgd|adam] [--epsilon F] [--threads N]\n\
+                            [--strategy nsga2|fgsm|pgd|adam] [--epsilon F]\n\
                             --cache evaluates through the dirty-region incremental cache \
                             (identical results, prints hit/recompute counters)\n\
                             --kernels selects the compute kernels (blocked is the fast \
                             default; predictions are identical under both)\n\
                             --strategy replaces the black-box NSGA-II search with a \
                             gradient-based white-box baseline; --epsilon is its L∞ \
-                            pixel budget\n\
-                            --threads sets the kernel worker threads (0 = all cores); \
-                            results are identical at any thread count"
+                            pixel budget"
                     .into())
             }
             other => return Err(args::unknown_flag(other)),
@@ -144,7 +139,6 @@ fn main() -> ExitCode {
         kernel_policy: options.kernels,
         strategy: options.strategy,
         whitebox_epsilon: options.epsilon,
-        threads: options.threads,
         ..AttackConfig::default()
     };
     let started = std::time::Instant::now();

@@ -32,7 +32,6 @@ struct Options {
     generations: usize,
     base_seed: u64,
     jobs: usize,
-    threads: usize,
     cache: bool,
     resume: bool,
     telemetry: bool,
@@ -53,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
         generations: scale.nsga2().generations,
         base_seed: 1,
         jobs: 0,
-        threads: 1,
         cache: false,
         resume: false,
         telemetry: false,
@@ -71,7 +69,6 @@ fn parse_args() -> Result<Options, String> {
             "--gens" => options.generations = args.parse(&flag)?,
             "--seed" => options.base_seed = args.parse(&flag)?,
             "--jobs" => options.jobs = args.parse(&flag)?,
-            "--threads" => options.threads = args.parse(&flag)?,
             "--cache" => options.cache = true,
             "--resume" => options.resume = true,
             "--telemetry" => options.telemetry = true,
@@ -82,15 +79,12 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: campaign_cli [--arch yolo|detr|both] [--models N] \
                             [--images N] [--pop N] [--gens N] [--seed N] [--jobs N] \
-                            [--threads N] \
                             [--cache] [--resume] [--telemetry] \
                             [--kernels reference|blocked] \
                             [--strategy nsga2|fgsm|pgd|adam] [--out DIR] \
                             [--quick|--medium|--full]\n\
-                            --jobs 0 uses every core; any value yields identical results\n\
-                            --threads sets kernel worker threads per cell (default 1: \
-                            --jobs already saturates the host; 0 = all cores); results \
-                            are identical at any thread count\n\
+                            --jobs 0 uses every core; any value yields identical results \
+                            (with one job, each generation's masks spread over every core)\n\
                             --resume keeps finished cells from a previous run in --out\n\
                             --telemetry writes one JSONL record per generation per cell\n\
                             --kernels selects the compute kernels (blocked is the fast \
@@ -152,7 +146,6 @@ fn main() -> ExitCode {
             use_cache: options.cache,
             kernel_policy: options.kernels,
             strategy: options.strategy,
-            threads: options.threads,
             ..AttackConfig::default()
         },
         base_seed: options.base_seed,

@@ -37,7 +37,6 @@ struct Options {
     out: PathBuf,
     smoke: bool,
     drain_secs: u64,
-    threads: usize,
     reactor: bool,
     batch: usize,
     tenant_rate: f64,
@@ -58,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         out: PathBuf::from("target/experiments/serve"),
         smoke: false,
         drain_secs: 60,
-        threads: 1,
         reactor: false,
         batch: 1,
         tenant_rate: 0.0,
@@ -79,7 +77,6 @@ fn parse_args() -> Result<Options, String> {
             "--out" => options.out = PathBuf::from(args.value(&flag)?),
             "--smoke" => options.smoke = true,
             "--drain-secs" => options.drain_secs = args.parse(&flag)?,
-            "--threads" => options.threads = args.parse(&flag)?,
             "--reactor" => options.reactor = true,
             "--batch" => options.batch = args.parse(&flag)?,
             "--tenant-rate" => options.tenant_rate = args.parse(&flag)?,
@@ -92,13 +89,10 @@ fn parse_args() -> Result<Options, String> {
             "--id-stride" => options.id_stride = args.parse(&flag)?,
             "--help" | "-h" => {
                 return Err("usage: serve_cli [--addr HOST:PORT] [--workers N] [--queue N] \
-                            [--out DIR] [--smoke] [--drain-secs N] [--threads N] [--reactor] \
+                            [--out DIR] [--smoke] [--drain-secs N] [--reactor] \
                             [--batch N] [--tenant-rate R] [--tenant-burst B] [--tenant-quota N] \
                             [--shards N] [--idle-secs N] [--conn-requests N]\n\
                             --smoke serves the 4-image smoke dataset (fast jobs for CI)\n\
-                            --threads sets kernel worker threads per job (default 1: the worker\n\
-                            pool already runs jobs in parallel; 0 = all cores); served CSVs are\n\
-                            identical at any thread count\n\
                             --reactor multiplexes all connections on one epoll thread instead of\n\
                             a thread per connection (Linux; elsewhere it falls back)\n\
                             --batch stacks up to N compatible queued jobs into shared forward\n\
@@ -162,7 +156,6 @@ fn run_single(options: &Options) -> ExitCode {
         },
         drain_deadline: Duration::from_secs(options.drain_secs),
         request_log: true,
-        kernel_threads: options.threads,
         reactor: options.reactor,
         batch_max: options.batch,
         tenant_policy: TenantPolicy {
@@ -229,8 +222,6 @@ fn spawn_shard(options: &Options, shard: usize) -> io::Result<Shard> {
         .arg(options.out.join(format!("shard-{shard}")))
         .arg("--drain-secs")
         .arg(options.drain_secs.to_string())
-        .arg("--threads")
-        .arg(options.threads.to_string())
         .arg("--batch")
         .arg(options.batch.to_string())
         .arg("--tenant-rate")

@@ -13,7 +13,7 @@
 //! matrix CSV, manifest and telemetry stream land under `--out`;
 //! `--resume` keeps finished cells (refusing loudly when the source
 //! campaign changed underneath the store). The matrix is identical for
-//! every `--jobs`/`--threads` value.
+//! every `--jobs` value.
 //!
 //! [`campaign_cli`]: ../campaign_cli/index.html
 
@@ -38,7 +38,6 @@ struct Options {
     out: PathBuf,
     target_models: usize,
     jobs: usize,
-    threads: usize,
     cache: bool,
     resume: bool,
     kernels: KernelPolicy,
@@ -50,7 +49,6 @@ fn parse_args() -> Result<Options, String> {
         out: PathBuf::from("target/experiments/transfer"),
         target_models: 0,
         jobs: 0,
-        threads: 1,
         cache: false,
         resume: false,
         kernels: KernelPolicy::default(),
@@ -62,21 +60,18 @@ fn parse_args() -> Result<Options, String> {
             "--out" => options.out = PathBuf::from(args.value(&flag)?),
             "--target-models" => options.target_models = args.parse(&flag)?,
             "--jobs" => options.jobs = args.parse(&flag)?,
-            "--threads" => options.threads = args.parse(&flag)?,
             "--cache" => options.cache = true,
             "--resume" => options.resume = true,
             "--kernels" => options.kernels = args.parse(&flag)?,
             "--help" | "-h" => {
                 return Err("usage: transfer_cli [--campaign DIR] [--out DIR] \
-                            [--target-models N] [--jobs N] [--threads N] \
+                            [--target-models N] [--jobs N] \
                             [--cache] [--resume] [--kernels reference|blocked]\n\
                             --campaign names a finished campaign_cli output directory; it is \
                             read, never modified\n\
                             --target-models sets the per-architecture target seed count \
                             (default 0: match the source campaign's model seeds)\n\
                             --jobs 0 uses every core; any value yields identical results\n\
-                            --threads sets kernel worker threads per cell (default 1; 0 = all \
-                            cores); results are identical at any thread count\n\
                             --resume keeps finished matrix cells from a previous run in --out, \
                             refusing when the source campaign fingerprint changed\n\
                             --cache evaluates through caching detectors (bit-identical output)\n\
@@ -105,7 +100,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    bea_tensor::threads::set_threads(options.threads);
     let dataset = SyntheticKitti::evaluation_set();
     let zoo = ModelZoo::with_defaults().with_kernel_policy(options.kernels);
 
@@ -134,7 +128,6 @@ fn main() -> ExitCode {
             },
             use_cache: options.cache,
             kernel_policy: options.kernels,
-            threads: options.threads,
             ..AttackConfig::default()
         },
         base_seed: manifest.base_seed,

@@ -6,9 +6,11 @@
 //! the supervisor respawns the shard, the replayed job log re-runs its
 //! pending work, and every submission still reaches `done`.
 
+use bea_serve::http::ResponseParser;
 use bea_serve::{client, Client};
 use std::collections::BTreeMap;
-use std::io::BufRead;
+use std::io::{BufRead, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -206,6 +208,39 @@ fn keep_alive_requests_through_the_router_do_not_stall() {
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_millis(200), "10 keep-alive requests took {elapsed:?}");
     drop(conn);
+    shutdown(&mut proc);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Two requests written in one `write_all` to the router's front door
+/// (`--shards 2`: the router's own connection loop) both get answered
+/// before the read deadline.
+#[test]
+fn pipelined_requests_through_the_router_are_all_answered() {
+    let out = scratch("pipeline");
+    let mut proc = spawn_serve(&out, &["--shards", "2"]);
+    let mut stream = TcpStream::connect(&proc.addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\nGET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("pipelined write");
+    let mut parser = ResponseParser::new(1024 * 1024);
+    let mut statuses = Vec::new();
+    let mut buf = [0u8; 4096];
+    while statuses.len() < 2 {
+        while let Some(response) = parser.next_response().expect("well-formed response") {
+            statuses.push(response.status);
+        }
+        if statuses.len() < 2 {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => parser.feed(&buf[..n]),
+                Err(e) => panic!("read failed after {} responses: {e}", statuses.len()),
+            }
+        }
+    }
+    assert_eq!(statuses, [200, 404]);
+    drop(stream);
     shutdown(&mut proc);
     let _ = std::fs::remove_dir_all(&out);
 }

@@ -127,13 +127,12 @@ pub struct AttackConfig {
     /// defaults to `gaussian_std` so FGSM/PGD spend the same per-pixel
     /// budget the GA's initialisation draws from.
     pub whitebox_epsilon: f32,
-    /// Kernel worker threads for the tensor hot loops (GEMM, im2col):
-    /// `0` (the default) uses every available core, `1` keeps the kernels
-    /// on the calling thread. Applied process-wide (via
-    /// [`bea_tensor::threads::set_threads`]) when the attack starts.
-    /// Threaded kernels are `==`-identical to the serial ones, so this is
-    /// a pure speed knob; campaigns that already shard across `--jobs`
-    /// workers may set `1` to avoid oversubscription.
+    /// Worker threads one NSGA-II generation's masks are spread over:
+    /// `0` (the default) uses every available core, `1` evaluates on the
+    /// calling thread. Each worker takes one contiguous chunk of the
+    /// population through one batched detector call, and results are
+    /// identical at any setting. Campaigns that shard cells across more
+    /// than one worker, and gated serve jobs, pin it to 1.
     pub threads: usize,
 }
 
@@ -224,19 +223,11 @@ impl ButterflyAttack {
         img: &Image,
         observer: impl FnMut(&GenerationStats),
     ) -> AttackOutcome {
-        self.apply_threads();
         if self.config.strategy != AttackStrategy::Nsga2 {
             return whitebox::run(self, detector, img, observer);
         }
         let problem = self.make_problem(vec![detector], vec![img.clone()]);
         self.run(problem, observer)
-    }
-
-    /// Installs the configured kernel thread count for this process. The
-    /// knob only changes speed: threaded kernels stay `==`-identical to
-    /// the serial reference loops.
-    fn apply_threads(&self) {
-        bea_tensor::threads::set_threads(self.config.threads);
     }
 
     /// Attacks an ensemble of detectors with one shared mask
@@ -303,7 +294,7 @@ impl ButterflyAttack {
         problem: ButterflyProblem<'_>,
         mut observer: impl FnMut(&GenerationStats),
     ) -> AttackOutcome {
-        self.apply_threads();
+        let problem = problem.with_threads(self.config.threads);
         // The NSGA-II driver consumes the problem, so snapshot the
         // detector handles (and their cache counters) first; the outcome
         // reports only this run's delta.

@@ -109,8 +109,9 @@ pub struct CampaignConfig {
     /// Base seed every cell seed is derived from.
     pub base_seed: u64,
     /// Worker threads sharding the cells: `0` uses every available core,
-    /// `1` runs sequentially. With more than one worker, each cell's
-    /// inner evaluation runs single-threaded to avoid oversubscription.
+    /// `1` runs sequentially. With more than one worker, each cell
+    /// evaluates its masks on its own worker (`attack.threads` is pinned
+    /// to 1), so the host is never oversubscribed.
     pub jobs: usize,
     /// Buffer per-generation telemetry records (and write them when a
     /// store is attached).
@@ -612,12 +613,13 @@ impl Campaign {
         }
 
         let jobs = resolve_jobs(self.config.jobs);
-        // With cells sharded across workers, nested evaluation threads
-        // would oversubscribe the host; sequential campaigns keep the
-        // configured inner parallelism. Neither choice affects results.
+        // One level of parallelism per attack: with cells sharded across
+        // workers, each cell evaluates its masks on its own worker;
+        // sequential campaigns keep the configured mask fan-out. Neither
+        // choice affects results.
         let mut attack_config = self.config.attack.clone();
         if jobs > 1 {
-            attack_config.nsga2.eval_threads = 1;
+            attack_config.threads = 1;
         }
 
         let mut slots: Vec<Option<CellResult>> = Vec::new();
@@ -959,5 +961,65 @@ mod tests {
         assert_eq!(back, rows);
         assert!(store.load_cell(&b).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Both mask loaders — the campaign store's `bea-mask v1` text and
+    /// the `BEAMASK1` binary format — on one header and gene tail.
+    fn load_both(header: &str, genes: &[i16]) -> [Option<FilterMask>; 2] {
+        let text: Vec<String> = genes.iter().map(i16::to_string).collect();
+        let text = format!("bea-mask v1 {header}\n{}\n", text.join(" "));
+        let mut binary = format!("BEAMASK1\n{header}\n").into_bytes();
+        binary.extend(genes.iter().flat_map(|g| g.to_le_bytes()));
+        [decode_mask(&text).ok(), bea_image::io::read_mask(&binary[..]).ok()]
+    }
+
+    fn assert_whole(mask: &FilterMask) {
+        let genes = mask.width().checked_mul(mask.height()).and_then(|p| p.checked_mul(3));
+        assert_eq!(Some(mask.as_slice().len()), genes, "{}x{}", mask.width(), mask.height());
+    }
+
+    #[test]
+    fn mask_headers_whose_size_overflows_are_refused() {
+        // 3 · 6148914691236517206 wraps to 2 in release builds, so two
+        // genes used to load as a mask whose width disagrees with them;
+        // 100000 × 100000 used to allocate 60 GB before reading a gene.
+        for header in ["6148914691236517206 1", "100000 100000", "18446744073709551615 2"] {
+            assert!(load_both(header, &[1, 2]).iter().all(Option::is_none), "{header}");
+        }
+        let [text, binary] = load_both("1 1", &[4, -5, 6]);
+        assert_eq!(text.as_ref().map(FilterMask::as_slice), Some(&[4, -5, 6][..]));
+        assert_eq!(text, binary);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, and well-formed headers over arbitrary gene
+        /// tails with small, huge or overflowing dimensions: neither loader
+        /// panics, and every mask either accepts holds exactly 3·w·h genes.
+        #[test]
+        fn mask_loaders_never_panic_and_accept_only_whole_masks(
+            (shape, small, big, bytes) in (
+                0usize..4,
+                (0usize..4, 0usize..4),
+                0usize..=usize::MAX,
+                proptest::collection::vec(0u8..=255, 0..80),
+            )
+        ) {
+            let genes: Vec<i16> = bytes.iter().map(|&b| i16::from(b) * 3 - 300).collect();
+            let (w, h) = small;
+            let loaded = match shape {
+                0 => load_both(&format!("{w} {h}"), &genes[..genes.len().min(3 * w * h)]),
+                1 => load_both(&format!("{big} {h}"), &genes),
+                2 => load_both(&format!("{big} {big}"), &genes),
+                _ => [
+                    decode_mask(&String::from_utf8_lossy(&bytes)).ok(),
+                    bea_image::io::read_mask(&bytes[..]).ok(),
+                ],
+            };
+            for mask in loaded.iter().flatten() {
+                assert_whole(mask);
+            }
+        }
     }
 }

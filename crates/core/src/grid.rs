@@ -1,17 +1,20 @@
-//! Deterministic sharded execution — the worker-pool core shared by
-//! [`crate::campaign::Campaign`] and [`crate::transfer::TransferGrid`].
+//! Deterministic sharded execution — the one runner for the attack's
+//! compute threads. [`crate::campaign::Campaign`] and
+//! [`crate::transfer::TransferGrid`] shard grid cells over it, and
+//! [`crate::ButterflyProblem`] shards one generation's masks over it when
+//! the attack runs alone.
 //!
-//! Both grid runners follow the same discipline: enumerate work units in
-//! a caller-defined order, pull unit indices from a shared cursor across
-//! `jobs` scoped worker threads, and commit each result into the slot of
-//! its *index* — never into arrival order. Scheduling therefore cannot
+//! Every caller follows the same discipline: enumerate work units in a
+//! caller-defined order, pull unit indices from a shared cursor across
+//! `workers` scoped threads, and commit each result into the slot of its
+//! *index* — never into arrival order. Scheduling therefore cannot
 //! influence any output, which is what lets the determinism suites pin
-//! byte-identical artifacts across `--jobs` values.
+//! byte-identical artifacts across `--jobs` and thread settings.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Resolves a `--jobs` setting: `0` means every available core.
+/// Resolves a worker-count setting (`--jobs`, `AttackConfig::threads`):
+/// `0` means every available core.
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -24,13 +27,15 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// threads and returns the results in unit order.
 ///
 /// Units are claimed through a shared atomic cursor, so the set of units
-/// each thread executes depends on timing — but every result lands in
-/// `out[index]`, making the returned vector independent of scheduling.
-/// `run` must therefore be a pure function of the unit index.
+/// each thread executes depends on timing — but each worker hands back
+/// its `(index, result)` pairs through its join handle and every result
+/// lands in `out[index]`, making the returned vector independent of
+/// scheduling. `run` must therefore be a pure function of the unit index.
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the panic is propagated, not swallowed).
+/// Re-raises a worker's panic with its own payload once every worker has
+/// stopped.
 pub fn run_sharded<T, F>(workers: usize, count: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -39,24 +44,33 @@ where
     if count == 0 {
         return Vec::new();
     }
+    // One worker still gets its own thread: a new thread is placed on an
+    // idle CPU, while the caller (say, a serve worker just woken on the
+    // reactor's CPU) would keep competing with the thread that woke it.
     let workers = workers.clamp(1, count);
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= count {
+                return done;
+            }
+            done.push((k, run(k)));
+        }
+    };
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+        handles.into_iter().map(|handle| handle.join()).collect()
+    });
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(count, || None);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<&mut Vec<Option<T>>> = Mutex::new(&mut slots);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= count {
-                    break;
-                }
-                let value = run(k);
-                results.lock().expect("no worker panicked holding the lock")[k] = Some(value);
-            });
+    for pairs in joined {
+        let pairs = pairs.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (k, value) in pairs {
+            slots[k] = Some(value);
         }
-    })
-    .expect("sharded workers must not panic");
+    }
     slots.into_iter().map(|slot| slot.expect("every unit filled")).collect()
 }
 
@@ -93,6 +107,15 @@ mod tests {
         // More workers than units must not deadlock or drop results.
         let out = run_sharded(64, 2, |i| i + 1);
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 5 failed")]
+    fn a_worker_panic_keeps_its_own_message() {
+        let _ = run_sharded(3, 8, |i| {
+            assert_ne!(i, 5, "unit 5 failed");
+            i
+        });
     }
 
     #[test]

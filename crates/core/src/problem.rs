@@ -1,5 +1,6 @@
 //! The butterfly attack as an NSGA-II [`Problem`].
 
+use crate::grid::{resolve_jobs, run_sharded};
 use crate::objectives::degradation::obj_degrad;
 use crate::objectives::distance::DistanceField;
 use crate::objectives::feature::FeatureObjective;
@@ -65,6 +66,10 @@ pub struct ButterflyProblem<'a> {
     /// [`Detector::detect_masked`], letting cache-aware detectors patch a
     /// memoized clean forward pass instead of recomputing it.
     use_cache: bool,
+    /// Worker threads [`Problem::evaluate_population`] spreads a
+    /// population over (`0` = every core); [`crate::ButterflyAttack`]
+    /// sets it from `AttackConfig::threads`.
+    threads: usize,
 }
 
 impl<'a> ButterflyProblem<'a> {
@@ -145,6 +150,7 @@ impl<'a> ButterflyProblem<'a> {
             distance_count_division: true,
             placements: vec![(0, 0, 1.0)],
             use_cache: false,
+            threads: 1,
         }
     }
 
@@ -203,6 +209,13 @@ impl<'a> ButterflyProblem<'a> {
     /// path.
     pub fn with_cache(mut self) -> Self {
         self.use_cache = true;
+        self
+    }
+
+    /// Spreads [`Problem::evaluate_population`] over `threads` workers
+    /// (`0` = every core). Results are identical at any count.
+    pub(crate) fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 
@@ -357,19 +370,48 @@ impl Problem for ButterflyProblem<'_> {
         objectives
     }
 
-    /// The per-generation hot path: one batched detector call per
-    /// `(placement, frame, detector)` cell instead of one scalar call per
-    /// genome, so detectors with a batchable global stage (DETR behind a
-    /// [`bea_detect::CachedDetector`]) push the whole population through a
-    /// single stacked transformer pass and stream their weights once per
-    /// generation.
+    /// The per-generation hot path. The population splits into
+    /// ⌈n / threads⌉-mask contiguous chunks, one per [`run_sharded`]
+    /// worker (on the calling thread when one chunk covers it), and each
+    /// chunk makes one batched detector call per `(placement, frame,
+    /// detector)` cell instead of one scalar call per genome, so
+    /// detectors with a batchable global stage (DETR behind a
+    /// [`bea_detect::CachedDetector`]) push the chunk through a single
+    /// stacked transformer pass and stream their weights once per call.
     ///
     /// Each mask's objective accumulators receive exactly the same
     /// contributions in exactly the same order as [`Problem::evaluate`]
     /// (placements, then frames, then detectors), so the returned vectors
-    /// are bit-identical to the scalar path — the determinism suite holds
-    /// campaigns to byte-identical CSVs across batching modes.
+    /// are bit-identical to the scalar path at any thread count — the
+    /// determinism suite holds campaigns to byte-identical CSVs across
+    /// batching modes.
     fn evaluate_population(&self, masks: &[FilterMask]) -> Vec<Vec<f64>> {
+        let threads = resolve_jobs(self.threads).min(masks.len()).max(1);
+        if threads == 1 {
+            return self.evaluate_chunk(masks);
+        }
+        let chunks: Vec<&[FilterMask]> = masks.chunks(masks.len().div_ceil(threads)).collect();
+        run_sharded(chunks.len(), chunks.len(), |c| self.evaluate_chunk(chunks[c]))
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    fn seeded_genomes(&self) -> Vec<FilterMask> {
+        // "a zero mask is added to the initial population (to keep the
+        // original image)".
+        vec![FilterMask::zeros(self.width(), self.height())]
+    }
+
+    fn repair(&self, mask: &mut FilterMask) {
+        self.constraint.apply(mask);
+    }
+}
+
+impl ButterflyProblem<'_> {
+    /// One chunk of [`Problem::evaluate_population`]: a single batched
+    /// detector call per `(placement, frame, detector)` cell.
+    fn evaluate_chunk(&self, masks: &[FilterMask]) -> Vec<Vec<f64>> {
         if masks.len() <= 1 {
             return masks.iter().map(|m| self.evaluate(m)).collect();
         }
@@ -440,16 +482,6 @@ impl Problem for ButterflyProblem<'_> {
                 objectives
             })
             .collect()
-    }
-
-    fn seeded_genomes(&self) -> Vec<FilterMask> {
-        // "a zero mask is added to the initial population (to keep the
-        // original image)".
-        vec![FilterMask::zeros(self.width(), self.height())]
-    }
-
-    fn repair(&self, mask: &mut FilterMask) {
-        self.constraint.apply(mask);
     }
 }
 
@@ -712,6 +744,55 @@ mod tests {
         }
         let stats = p_cached.cache_stats().expect("cached detector reports stats");
         assert_eq!(stats.incremental, 3, "three non-zero masks take the incremental path");
+    }
+
+    #[test]
+    fn population_fan_out_matches_scalar_evaluation_at_any_thread_count() {
+        // Populations of 1, 2, 5 and 12 masks (prefixes of one list that
+        // starts with the zero mask), spread over 0 (every core), 1, 2
+        // and 3 workers, against per-mask `evaluate` — plain and cached,
+        // on YOLO and DETR.
+        let img = SyntheticKitti::smoke_set().image(1);
+        let (w, h) = (img.width(), img.height());
+        let mut rng = bea_tensor::WeightInit::from_seed(29);
+        let masks: Vec<FilterMask> = (0..12)
+            .map(|i| {
+                let mut mask = FilterMask::zeros(w, h);
+                for _ in 0..i * 3 {
+                    let x = w / 2 + (rng.uniform(0.0, 1.0) * (w / 2) as f32) as usize % (w / 2);
+                    let y = (rng.uniform(0.0, 1.0) * h as f32) as usize % h;
+                    let c = (rng.uniform(0.0, 1.0) * 3.0) as usize % 3;
+                    mask.set(c, y, x, rng.uniform(-120.0, 120.0) as i16);
+                }
+                mask
+            })
+            .collect();
+        let zoo = bea_detect::ModelZoo::with_defaults();
+        for arch in [bea_detect::Architecture::Yolo, bea_detect::Architecture::Detr] {
+            for cached in [false, true] {
+                let detector = if cached { zoo.cached_model(arch, 2) } else { zoo.model(arch, 2) };
+                let mut problem = ButterflyProblem::single(
+                    detector.as_ref(),
+                    &img,
+                    2.0,
+                    RegionConstraint::RightHalf,
+                );
+                if cached {
+                    problem = problem.with_cache();
+                }
+                let scalar: Vec<Vec<f64>> = masks.iter().map(|m| problem.evaluate(m)).collect();
+                for threads in [0, 1, 2, 3] {
+                    problem = problem.with_threads(threads);
+                    for n in [1, 2, 5, 12] {
+                        assert_eq!(
+                            problem.evaluate_population(&masks[..n]),
+                            scalar[..n],
+                            "{arch:?} cached={cached} threads={threads} n={n}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

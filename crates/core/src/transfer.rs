@@ -21,7 +21,7 @@
 //! enumerated in spec order, sharded across `--jobs` workers through
 //! [`crate::grid::run_sharded`], committed into spec-order slots, and
 //! persisted in a resumable per-cell store — so byte-identical output at
-//! any `--jobs`/`--threads` is inherited rather than re-proven. Three
+//! any `--jobs` is inherited rather than re-proven. Three
 //! invariants are test-enforced:
 //!
 //! 1. **Identity diagonal.** A champion evaluated against its own source

@@ -111,11 +111,11 @@ fn run_with_threads(jobs: usize, threads: usize) -> bea_core::campaign::Campaign
 }
 
 #[test]
-fn kernel_threads_never_change_champion_csv_across_worker_counts() {
-    // The --threads {1,4} × --jobs {1,4} grid under the blocked (SIMD +
-    // threaded) kernels: every combination must persist the same
-    // champion CSV byte for byte as the plain sequential run, so the
-    // kernel thread pool is a pure speed knob at any worker count.
+fn mask_threads_never_change_champion_csv_across_worker_counts() {
+    // The threads {1,4} × jobs {1,4} grid: with one job, `threads`
+    // spreads each generation's masks over that many workers; with four,
+    // the campaign pins it to 1. Every combination must persist the same
+    // champion CSV byte for byte as the plain sequential run.
     let expected = champion_csv(&run(1, false));
     assert!(!expected.is_empty());
     for threads in [1, 4] {
@@ -123,7 +123,7 @@ fn kernel_threads_never_change_champion_csv_across_worker_counts() {
             assert_eq!(
                 expected,
                 champion_csv(&run_with_threads(jobs, threads)),
-                "--threads {threads} --jobs {jobs} changed the champion CSV"
+                "threads {threads} jobs {jobs} changed the champion CSV"
             );
         }
     }

@@ -67,42 +67,6 @@ fn worker_count_never_changes_whitebox_champion_csv() {
 }
 
 #[test]
-fn kernel_threads_never_change_whitebox_champion_csv() {
-    // The --threads {1,4} × --jobs {1,4} grid for a gradient strategy:
-    // the kernel thread pool must be invisible in the persisted CSV.
-    // PGD stands in for all three strategies — FGSM and Adam drive the
-    // same forward/backward kernel paths.
-    let zoo = ModelZoo::with_defaults();
-    let dataset = SyntheticKitti::evaluation_set();
-    let run_threaded = |jobs: usize, threads: usize| {
-        let zoo = zoo.clone();
-        let dataset = dataset.clone();
-        let mut attack = attack_config(AttackStrategy::Pgd, GENS);
-        attack.threads = threads;
-        Campaign::new(CampaignConfig { attack, base_seed: 11, jobs, telemetry: true }).run(
-            &specs(),
-            move |spec: &CellSpec| {
-                let arch =
-                    if spec.group == "YOLO" { Architecture::Yolo } else { Architecture::Detr };
-                zoo.model(arch, spec.model_seed)
-            },
-            move |spec: &CellSpec| dataset.image(spec.image_index),
-        )
-    };
-    let expected = champion_csv(&run(AttackStrategy::Pgd, 1));
-    assert!(!expected.is_empty());
-    for threads in [1, 4] {
-        for jobs in [1, 4] {
-            assert_eq!(
-                expected,
-                champion_csv(&run_threaded(jobs, threads)),
-                "--threads {threads} --jobs {jobs} changed the PGD champion CSV"
-            );
-        }
-    }
-}
-
-#[test]
 fn whitebox_outcomes_record_dense_generations() {
     // The synthesized GenerationStats must look exactly like the GA's to
     // the telemetry layer: one record per gradient step plus gen 0.

@@ -143,8 +143,9 @@ pub fn save_mask<P: AsRef<Path>>(mask: &crate::FilterMask, path: P) -> Result<()
 ///
 /// # Errors
 ///
-/// Returns [`ImageError::Format`] for a bad magic, malformed header or
-/// truncated gene data, and propagates I/O failures.
+/// Returns [`ImageError::Format`] for a bad magic, a malformed or
+/// overflowing header or truncated gene data, and propagates I/O
+/// failures.
 pub fn read_mask<R: Read>(mut reader: R) -> Result<crate::FilterMask> {
     let mut magic = [0u8; 9];
     reader
@@ -156,11 +157,19 @@ pub fn read_mask<R: Read>(mut reader: R) -> Result<crate::FilterMask> {
     let mut reader = BufReader::new(reader);
     let width: usize = parse_token(&mut reader, "mask width")?;
     let height: usize = parse_token(&mut reader, "mask height")?;
-    let genes = 3 * width * height;
-    let mut buf = vec![0u8; genes * 2];
-    reader.read_exact(&mut buf).map_err(|_| ImageError::Format {
-        what: format!("truncated gene data for {width}x{height} mask"),
-    })?;
+    let truncated =
+        || ImageError::Format { what: format!("truncated gene data for {width}x{height} mask") };
+    let bytes = crate::FilterMask::checked_gene_count(width, height)?
+        .checked_mul(2)
+        .ok_or_else(truncated)?;
+    // Read through `take` rather than into a buffer sized from the
+    // header: a corrupt header must not allocate more than the stream
+    // holds.
+    let mut buf = Vec::new();
+    reader.take(bytes as u64).read_to_end(&mut buf)?;
+    if buf.len() != bytes {
+        return Err(truncated());
+    }
     let values: Vec<i16> = buf.chunks_exact(2).map(|b| i16::from_le_bytes([b[0], b[1]])).collect();
     crate::FilterMask::from_values(width, height, values)
 }

@@ -50,14 +50,23 @@ impl FilterMask {
     /// # Errors
     ///
     /// Returns [`ImageError::LengthMismatch`] if the buffer length is not
-    /// `3 * width * height`.
+    /// `3 * width * height`, and [`ImageError::Format`] if that product
+    /// overflows.
     pub fn from_values(width: usize, height: usize, values: Vec<i16>) -> Result<Self> {
-        let expected = 3 * width * height;
+        let expected = Self::checked_gene_count(width, height)?;
         if values.len() != expected {
             return Err(ImageError::LengthMismatch { expected, actual: values.len() });
         }
         let values = values.into_iter().map(|v| v.clamp(-MASK_LIMIT, MASK_LIMIT)).collect();
         Ok(Self { width, height, values })
+    }
+
+    /// `3 × width × height`, refused with [`ImageError::Format`] when it
+    /// overflows — dimensions read from a corrupt file can.
+    pub(crate) fn checked_gene_count(width: usize, height: usize) -> Result<usize> {
+        width.checked_mul(height).and_then(|pixels| pixels.checked_mul(3)).ok_or_else(|| {
+            ImageError::Format { what: format!("{width}x{height} mask size overflows") }
+        })
     }
 
     /// Mask width in pixels.

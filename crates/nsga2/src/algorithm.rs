@@ -11,53 +11,18 @@ use crate::sorting::fast_non_dominated_sort;
 use bea_tensor::WeightInit;
 use std::time::Instant;
 
-/// Evaluates a batch of genomes, fanning out over `crossbeam` scoped
-/// threads when more than one worker is requested (the order of results
-/// always matches the input order, so runs stay deterministic).
-///
-/// `threads == 0` uses every available core; outer schedulers that already
-/// saturate the host (e.g. a campaign sharding cells across workers) pass
-/// `1` to keep each run single-threaded.
-fn evaluate_batch<P: Problem>(
-    problem: &P,
-    genomes: Vec<P::Genome>,
-    threads: usize,
-) -> Vec<Individual<P::Genome>> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads <= 1 || genomes.len() < 2 {
-        let objectives = problem.evaluate_population(&genomes);
-        assert_eq!(objectives.len(), genomes.len(), "one objective vector per genome");
-        return genomes.into_iter().zip(objectives).map(|(g, o)| Individual::new(g, o)).collect();
-    }
-    let chunk = genomes.len().div_ceil(threads);
-    let mut out: Vec<Option<Individual<P::Genome>>> = Vec::new();
-    out.resize_with(genomes.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, genome_chunk) in out.chunks_mut(chunk).zip(genomes.chunks(chunk)) {
-            scope.spawn(move |_| {
-                let objectives = problem.evaluate_population(genome_chunk);
-                assert_eq!(objectives.len(), genome_chunk.len(), "one objective vector per genome");
-                for ((slot, genome), o) in slot_chunk.iter_mut().zip(genome_chunk).zip(objectives) {
-                    *slot = Some(Individual::new(genome.clone(), o));
-                }
-            });
-        }
-    })
-    .expect("evaluation workers must not panic");
-    out.into_iter().map(|i| i.expect("every slot filled")).collect()
+/// Evaluates a batch of genomes in one [`Problem::evaluate_population`]
+/// call and pairs each genome with its objective vector, in input order.
+fn evaluate_batch<P: Problem>(problem: &P, genomes: Vec<P::Genome>) -> Vec<Individual<P::Genome>> {
+    let objectives = problem.evaluate_population(&genomes);
+    assert_eq!(objectives.len(), genomes.len(), "one objective vector per genome");
+    genomes.into_iter().zip(objectives).map(|(g, o)| Individual::new(g, o)).collect()
 }
 
 /// An optimisation problem: a genome type plus an objective evaluation.
-///
-/// Implementations must be [`Sync`] so populations can be evaluated from
-/// worker threads.
-pub trait Problem: Sync {
+pub trait Problem {
     /// The genome (decision variable) type.
-    type Genome: Clone + Send + Sync;
+    type Genome: Clone;
 
     /// Optimisation direction of each objective, in order.
     fn directions(&self) -> Vec<Direction>;
@@ -69,13 +34,14 @@ pub trait Problem: Sync {
     /// Evaluates a batch of genomes, returning one objective vector per
     /// genome in input order.
     ///
-    /// The run driver hands every evaluation through this hook (each
-    /// worker thread receives one contiguous chunk), so problems whose
-    /// objective shares work across a population — the butterfly attack
-    /// pushes all masks of a generation through one batched detector
-    /// forward pass — can override it. Results must be *identical* to
-    /// mapping [`Problem::evaluate`]; batching is a speed knob, never an
-    /// approximation, and determinism tests hold overrides to that.
+    /// The run driver hands every evaluation through this hook, one call
+    /// per generation with the whole batch, so problems whose objective
+    /// shares work across a population — the butterfly attack pushes a
+    /// generation's masks through batched detector calls, spread over its
+    /// worker threads — can override it. Results must be *identical* to
+    /// mapping [`Problem::evaluate`]; batching and threading are speed
+    /// knobs, never approximations, and determinism tests hold overrides
+    /// to that.
     fn evaluate_population(&self, genomes: &[Self::Genome]) -> Vec<Vec<f64>> {
         genomes.iter().map(|g| self.evaluate(g)).collect()
     }
@@ -112,11 +78,6 @@ pub struct Nsga2Config {
     pub mutation_prob: f32,
     /// Seed of the run's deterministic random stream.
     pub seed: u64,
-    /// Worker threads for objective evaluation: `0` (the default) uses
-    /// every available core, `1` keeps evaluation on the calling thread.
-    /// Outer schedulers that already shard work across threads set `1` to
-    /// avoid oversubscription. The thread count never changes results.
-    pub eval_threads: usize,
 }
 
 impl Default for Nsga2Config {
@@ -127,7 +88,6 @@ impl Default for Nsga2Config {
             crossover_prob: 0.5,
             mutation_prob: 0.45,
             seed: 1,
-            eval_threads: 0,
         }
     }
 }
@@ -299,7 +259,7 @@ impl<P: Problem> Nsga2<P> {
         }
         evaluations += genomes.len();
         let clock = Instant::now();
-        let mut population = evaluate_batch(&self.problem, genomes, self.config.eval_threads);
+        let mut population = evaluate_batch(&self.problem, genomes);
         let evaluate_ms = ms_since(clock);
         let clock = Instant::now();
         assign_ranks_and_crowding(&mut population, &directions);
@@ -346,7 +306,7 @@ impl<P: Problem> Nsga2<P> {
             evaluations += offspring.len();
             let clock = Instant::now();
             let mut combined = std::mem::take(&mut population);
-            combined.extend(evaluate_batch(&self.problem, offspring, self.config.eval_threads));
+            combined.extend(evaluate_batch(&self.problem, offspring));
             let evaluate_ms = ms_since(clock);
             let clock = Instant::now();
             population =
@@ -486,7 +446,6 @@ mod tests {
             crossover_prob: 0.9,
             mutation_prob: 0.5,
             seed,
-            eval_threads: 0,
         };
         Nsga2::new(Schaffer, config).run(
             &|rng: &mut WeightInit| rng.uniform(-8.0, 8.0) as f64,
@@ -660,7 +619,6 @@ mod tests {
             crossover_prob: 0.9,
             mutation_prob: 0.5,
             seed: 3,
-            eval_threads: 1,
         };
         let result = Nsga2::new(Schaffer, config).with_hypervolume_reference(vec![70.0, 70.0]).run(
             &|rng: &mut WeightInit| rng.uniform(-8.0, 8.0) as f64,
@@ -700,31 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_threads_do_not_change_results() {
-        let run = |threads: usize| {
-            let config = Nsga2Config {
-                population_size: 30,
-                generations: 8,
-                crossover_prob: 0.9,
-                mutation_prob: 0.5,
-                seed: 13,
-                eval_threads: threads,
-            };
-            Nsga2::new(Schaffer, config).run(
-                &|rng: &mut WeightInit| rng.uniform(-8.0, 8.0) as f64,
-                &|a: &f64, b: &f64, _: &mut WeightInit| (*a, *b),
-                &|x: &mut f64, rng: &mut WeightInit| *x += rng.normal(0.0, 0.5) as f64,
-            )
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        for (a, b) in sequential.population().iter().zip(parallel.population()) {
-            assert_eq!(a.genome(), b.genome());
-            assert_eq!(a.objectives(), b.objectives());
-        }
-    }
-
-    #[test]
     fn population_hook_receives_every_genome_and_matches_scalar_path() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         /// Schaffer with an instrumented batch hook.
@@ -746,37 +679,26 @@ mod tests {
                 genomes.iter().map(|g| self.evaluate(g)).collect()
             }
         }
-        let run = |threads: usize| {
-            let problem = Hooked { calls: AtomicUsize::new(0), genomes_seen: AtomicUsize::new(0) };
-            let config = Nsga2Config {
-                population_size: 20,
-                generations: 4,
-                crossover_prob: 0.9,
-                mutation_prob: 0.5,
-                seed: 21,
-                eval_threads: threads,
-            };
-            let nsga = Nsga2::new(problem, config);
-            let result = nsga.run(
-                &|rng: &mut WeightInit| rng.uniform(-8.0, 8.0) as f64,
-                &|a: &f64, b: &f64, _: &mut WeightInit| (*a, *b),
-                &|x: &mut f64, rng: &mut WeightInit| *x += rng.normal(0.0, 0.5) as f64,
-            );
-            let calls = nsga.problem().calls.load(Ordering::Relaxed);
-            let seen = nsga.problem().genomes_seen.load(Ordering::Relaxed);
-            (result, calls, seen)
+        let problem = Hooked { calls: AtomicUsize::new(0), genomes_seen: AtomicUsize::new(0) };
+        let config = Nsga2Config {
+            population_size: 20,
+            generations: 4,
+            crossover_prob: 0.9,
+            mutation_prob: 0.5,
+            seed: 21,
         };
-        let (sequential, seq_calls, seq_seen) = run(1);
-        let (parallel, par_calls, par_seen) = run(4);
-        // Every evaluation flows through the hook, at any thread count...
-        assert_eq!(seq_seen, sequential.evaluations());
-        assert_eq!(par_seen, parallel.evaluations());
-        // ...single-threaded runs batch each generation into one call,
-        // threaded runs into one call per worker chunk...
-        assert_eq!(seq_calls, 5, "one batched call per generation");
-        assert!(par_calls > seq_calls, "threaded runs chunk the population");
-        // ...and the thread count still never changes the outcome.
-        for (a, b) in sequential.population().iter().zip(parallel.population()) {
+        let init = |rng: &mut WeightInit| rng.uniform(-8.0, 8.0) as f64;
+        let crossover = |a: &f64, b: &f64, _: &mut WeightInit| (*a, *b);
+        let mutation = |x: &mut f64, rng: &mut WeightInit| *x += rng.normal(0.0, 0.5) as f64;
+        let nsga = Nsga2::new(problem, config);
+        let hooked = nsga.run(&init, &crossover, &mutation);
+        // Every evaluation flows through the hook, one batched call per
+        // generation...
+        assert_eq!(nsga.problem().genomes_seen.load(Ordering::Relaxed), hooked.evaluations());
+        assert_eq!(nsga.problem().calls.load(Ordering::Relaxed), 5);
+        // ...and the outcome equals the default per-genome hook's.
+        let scalar = Nsga2::new(Schaffer, config).run(&init, &crossover, &mutation);
+        for (a, b) in hooked.population().iter().zip(scalar.population()) {
             assert_eq!(a.genome(), b.genome());
             assert_eq!(a.objectives(), b.objectives());
         }
@@ -796,12 +718,7 @@ mod tests {
                 vec![*x, if *x > 0.0 { f64::NAN } else { 1.0 }]
             }
         }
-        let config = Nsga2Config {
-            population_size: 8,
-            generations: 2,
-            eval_threads: 1,
-            ..Nsga2Config::default()
-        };
+        let config = Nsga2Config { population_size: 8, generations: 2, ..Nsga2Config::default() };
         let _ = Nsga2::new(Poisoned, config).run(
             &|rng: &mut WeightInit| rng.uniform(-1.0, 1.0) as f64,
             &|a: &f64, b: &f64, _: &mut WeightInit| (*a, *b),

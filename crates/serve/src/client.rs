@@ -7,7 +7,7 @@
 //! the incremental [`ResponseParser`], reconnect-on-close left to the
 //! caller.
 
-use crate::http::{status_reason, Request, ResponseParser};
+use crate::http::{status_reason, ResponseParser};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -124,7 +124,6 @@ pub fn request_with(
     body: Option<&str>,
     timeouts: ClientTimeouts,
 ) -> io::Result<HttpResponse> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut stream = connect(addr, timeouts)?;
     // The whole request goes out in one write: fragments written one by
     // one to the socket would leave as separate segments, each waiting on
@@ -135,28 +134,33 @@ pub fn request_with(
         body.len()
     );
     stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
+    read_response(&mut stream, &mut ResponseParser::new(MAX_RESPONSE_BODY))
+}
 
-    // The response grammar mirrors the request grammar closely enough to
-    // reuse the request parser: swap the status line for a request line.
-    let mut reader = BufReader::new(stream);
-    let status_line =
-        read_status_line(&mut reader).map_err(|e| timeout_error("response read", e))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let (version, code) = match (parts.next(), parts.next()) {
-        (Some(v), Some(c)) if v.starts_with("HTTP/") => (v, c),
-        _ => return Err(invalid(format!("malformed status line {status_line:?}"))),
-    };
-    let _ = version;
-    let status: u16 =
-        code.parse().map_err(|e| invalid(format!("bad status code {code:?}: {e}")))?;
-    // Re-feed the remainder as a bodiless request so header and body
-    // handling stay in one place.
-    let mut synthetic = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
-    let mut rest = Vec::new();
-    io::Read::read_to_end(&mut reader, &mut rest).map_err(|e| timeout_error("response read", e))?;
-    synthetic.extend_from_slice(&rest);
-    let parsed = Request::read_from(&mut BufReader::new(&synthetic[..]), MAX_RESPONSE_BODY)?;
-    Ok(HttpResponse { status, headers: parsed.headers, body: parsed.body })
+/// Reads the next response off `stream` through `parser`, reading only
+/// when the bytes already buffered hold no complete response.
+fn read_response(stream: &mut TcpStream, parser: &mut ResponseParser) -> io::Result<HttpResponse> {
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        if let Some(parsed) = parser.next_response()? {
+            return Ok(HttpResponse {
+                status: parsed.status,
+                headers: parsed.headers,
+                body: parsed.body,
+            });
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before the response completed",
+                ))
+            }
+            Ok(n) => parser.feed(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(timeout_error("response read", e)),
+        }
+    }
 }
 
 /// Reads the CRLF-terminated status line.
@@ -244,27 +248,7 @@ impl HttpConnection {
             body.len()
         );
         self.stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            if let Some(parsed) = self.parser.next_response()? {
-                return Ok(HttpResponse {
-                    status: parsed.status,
-                    headers: parsed.headers,
-                    body: parsed.body,
-                });
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the keep-alive connection",
-                    ))
-                }
-                Ok(n) => self.parser.feed(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(timeout_error("response read", e)),
-            }
-        }
+        read_response(&mut self.stream, &mut self.parser)
     }
 }
 

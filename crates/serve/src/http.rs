@@ -9,13 +9,14 @@
 //!
 //! Parsing is *incremental*: [`RequestParser`] is fed whatever bytes the
 //! transport produced — a whole pipelined burst or one byte at a time —
-//! and yields complete requests as they materialise. The blocking path
-//! ([`Request::read_from`]) and the non-blocking reactor path both run
-//! on this one state machine, so the caps behave identically no matter
-//! how reads are sliced. [`ResponseParser`] is the mirror image for
-//! clients reading responses off non-blocking sockets.
+//! and yields complete requests as they materialise. Every connection
+//! keeps one parser for its whole life — the blocking front-ends through
+//! `RequestParser::read_request`, the reactor by feeding it directly —
+//! so requests pipelined into one read are all served, in order, and the
+//! caps behave identically no matter how reads are sliced.
+//! [`ResponseParser`] is the mirror image for clients reading responses.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
 
 /// Upper bound on the request line and on each header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -63,38 +64,6 @@ impl Request {
     /// Reports non-UTF-8 bodies.
     pub fn body_text(&self) -> Result<&str, String> {
         std::str::from_utf8(&self.body).map_err(|e| format!("body is not UTF-8: {e}"))
-    }
-
-    /// Reads and parses one request from a buffered stream. `max_body`
-    /// bounds the accepted `Content-Length`; bigger announcements fail
-    /// without reading the body.
-    ///
-    /// This is the blocking frontend of [`RequestParser`]: bytes stream
-    /// from the reader into the same incremental state machine the
-    /// reactor path feeds, so caps and error messages are identical no
-    /// matter which transport carried the request.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on malformed requests and exceeded
-    /// limits, plus any transport error.
-    pub fn read_from<R: BufRead>(reader: &mut R, max_body: usize) -> io::Result<Request> {
-        let mut parser = RequestParser::new(max_body);
-        loop {
-            if let Some(request) = parser.next_request()? {
-                return Ok(request);
-            }
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-request",
-                ));
-            }
-            let taken = chunk.len();
-            parser.feed(chunk);
-            reader.consume(taken);
-        }
     }
 }
 
@@ -165,6 +134,36 @@ impl RequestParser {
     /// Bytes buffered but not yet consumed by a parsed message.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.consumed
+    }
+
+    /// Returns the next complete request, reading from `reader` only when
+    /// the bytes already buffered hold none — the blocking front-end of
+    /// this parser. Keep one parser per connection: bytes read past the
+    /// end of one request stay buffered for the next call.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] on malformed requests and exceeded
+    /// limits, [`io::ErrorKind::UnexpectedEof`] when the peer closes
+    /// before a complete request, plus any transport error.
+    pub(crate) fn read_request<R: Read>(&mut self, reader: &mut R) -> io::Result<Request> {
+        let mut chunk = [0u8; 8 * 1024];
+        loop {
+            if let Some(request) = self.next_request()? {
+                return Ok(request);
+            }
+            match reader.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-request",
+                    ))
+                }
+                Ok(n) => self.feed(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Takes the next complete line out of the buffer; `Ok(None)` means
@@ -507,10 +506,21 @@ pub fn final_chunk() -> &'static [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &[u8]) -> io::Result<Request> {
-        Request::read_from(&mut BufReader::new(raw), 1024)
+    fn parse(mut raw: &[u8]) -> io::Result<Request> {
+        RequestParser::new(1024).read_request(&mut raw)
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_read_are_all_returned() {
+        let mut wire =
+            &b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi"[..];
+        let mut parser = RequestParser::new(1024);
+        assert_eq!(parser.read_request(&mut wire).unwrap().path, "/a");
+        let second = parser.read_request(&mut wire).unwrap();
+        assert_eq!((second.path.as_str(), second.body_text().unwrap()), ("/b", "hi"));
+        let eof = parser.read_request(&mut wire).unwrap_err();
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -33,13 +33,13 @@
 //! `jobs.jsonl`, so accepted jobs survive a `kill -9`).
 
 use crate::client::{request_with, ClientTimeouts, HttpResponse};
-use crate::http::{Request, Response};
+use crate::http::{Request, RequestParser, Response};
 use crate::server::error_response;
 use bea_core::campaign::CellSpec;
 use bea_core::grid::fnv1a;
 use bea_core::telemetry::JsonObject;
 use bea_core::AttackJob;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -198,13 +198,10 @@ fn handle_connection(stream: TcpStream, shards: &Arc<ShardSet>, stop: &Arc<Atomi
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
     let mut stream = stream;
+    let mut parser = RequestParser::new(bea_core::job::MAX_JOB_BODY_BYTES);
     loop {
-        let request = match Request::read_from(&mut reader, bea_core::job::MAX_JOB_BODY_BYTES) {
+        let request = match parser.read_request(&mut stream) {
             Ok(request) => request,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let _ = error_response(400, &e.to_string()).write_to(&mut stream);

@@ -17,7 +17,7 @@
 //!    control is explicit (`429` + `Retry-After`) instead of unbounded
 //!    memory growth.
 
-use crate::http::{chunked_head, encode_chunk, final_chunk, Request, Response};
+use crate::http::{chunked_head, encode_chunk, final_chunk, Request, RequestParser, Response};
 use crate::metrics::Metrics;
 use crate::progress::ProgressFeed;
 use crate::tenant::{TenantGovernor, TenantPolicy};
@@ -33,7 +33,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Server configuration.
@@ -54,12 +54,6 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// Append one JSONL record per request to `requests.jsonl`.
     pub request_log: bool,
-    /// Kernel worker threads each job runs with (`0` = all cores). The
-    /// server overrides every job's `AttackConfig::threads` with this
-    /// value so the submitted JSON cannot change the host's thread
-    /// policy. Defaults to 1: the worker pool already runs jobs in
-    /// parallel, and results are identical at any thread count.
-    pub kernel_threads: usize,
     /// Serve connections through the epoll reactor (one multiplexing
     /// thread) instead of a thread per connection. Job execution is
     /// identical either way; off epoll-less platforms the server falls
@@ -102,7 +96,6 @@ impl ServerConfig {
             dataset: SyntheticKitti::evaluation_set(),
             drain_deadline: Duration::from_secs(60),
             request_log: true,
-            kernel_threads: 1,
             reactor: false,
             batch_max: 1,
             tenant_policy: TenantPolicy::default(),
@@ -163,7 +156,6 @@ pub(crate) struct Shared {
     job_log_path: PathBuf,
     request_log_path: Option<PathBuf>,
     request_log: Mutex<()>,
-    kernel_threads: usize,
     batch_max: usize,
     pub(crate) idle_timeout: Duration,
     pub(crate) conn_requests_max: usize,
@@ -280,7 +272,6 @@ impl Server {
             dataset: config.dataset,
             job_log: Mutex::new(()),
             request_log: Mutex::new(()),
-            kernel_threads: config.kernel_threads,
             batch_max: config.batch_max.max(1),
             idle_timeout: config.idle_timeout,
             conn_requests_max: config.conn_requests_max.max(1),
@@ -538,15 +529,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
     let mut stream = stream;
+    let mut parser = RequestParser::new(bea_core::job::MAX_JOB_BODY_BYTES);
     let mut served = 0usize;
     loop {
         let started = Instant::now();
-        let request = match Request::read_from(&mut reader, bea_core::job::MAX_JOB_BODY_BYTES) {
+        let request = match parser.read_request(&mut stream) {
             Ok(request) => request,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let response = error_response(400, &e.to_string());
@@ -915,7 +903,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let queued = &group[0];
             let feed = shared.feed_of(queued.id);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(shared, &queued.job, &feed)
+                run_job(shared, &queued.job, None, &feed)
             }))
             .unwrap_or_else(|panic| Err(panic_message(panic)));
             finish_job(shared, queued, outcome);
@@ -984,7 +972,7 @@ fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
                 // on.
                 let _ = gate_ref;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job_gated(shared, &queued.job, detector, &feed)
+                    run_job(shared, &queued.job, Some(detector), &feed)
                 }))
                 .unwrap_or_else(|panic| Err(panic_message(panic)));
                 finish_job(shared, queued, outcome);
@@ -1000,21 +988,28 @@ fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
 /// direct campaign uses — that is what makes the served CSV
 /// byte-identical to a batch run of the same cell.
 ///
+/// A solo job builds its detector from the zoo and spreads each
+/// generation's masks over every core. A gate-group member runs against
+/// its [`GateDetector`] handle with `threads = 1`: the gate needs exactly
+/// one `detect_batch` post per member per generation (two evaluation
+/// threads posting as one member abort the process), and the group
+/// itself is the parallelism. The thread setting only changes speed.
+///
 /// Per-generation telemetry records stream into `feed` as the GA runs;
 /// observation never touches campaign state, so the persisted rows are
 /// unaffected.
 fn run_job(
     shared: &Shared,
     job: &AttackJob,
+    member: Option<GateDetector>,
     feed: &ProgressFeed,
 ) -> Result<Option<CacheStats>, String> {
     let image = job.materialize_image(&shared.dataset)?;
     let spec = job.cell_spec();
-    // The thread knob is the server operator's, never the submitter's:
-    // override whatever the job's config defaulted to. Thread count is a
-    // pure speed knob, so the persisted CSV stays byte-identical.
     let mut attack = job.attack_config();
-    attack.threads = shared.kernel_threads;
+    if member.is_some() {
+        attack.threads = 1;
+    }
     let campaign = Campaign::new(CampaignConfig {
         attack,
         base_seed: job.base_seed,
@@ -1024,62 +1019,15 @@ fn run_job(
     let arch = job.arch;
     let use_cache = job.use_cache;
     let zoo = shared.zoo.clone().with_kernel_policy(job.kernel_policy);
-    let result = campaign.run_observed(
-        std::slice::from_ref(&spec),
-        |cell| {
-            if use_cache {
-                zoo.cached_model(arch, cell.model_seed)
-            } else {
-                zoo.model(arch, cell.model_seed)
-            }
-        },
-        |_cell| image.clone(),
-        &|_cell, line| feed.push(line.to_string()),
-    );
-    let cell = &result.cells[0];
-    shared
-        .store
-        .save_cell(&spec, &cell.rows)
-        .map_err(|e| format!("persisting cell failed: {e}"))?;
-    Ok(cell.outcome.as_ref().and_then(|o| o.cache_stats()))
-}
-
-/// Runs one job of a gate group through its [`GateDetector`] handle.
-///
-/// Identical to [`run_job`] except the detector is the gate member and
-/// the attack is pinned to one thread, kernels and evaluation alike: the
-/// gate needs exactly one `detect_batch` post per member per generation
-/// (two evaluation threads posting as one member abort the process), and
-/// the group itself is the parallelism.
-fn run_job_gated(
-    shared: &Shared,
-    job: &AttackJob,
-    detector: GateDetector,
-    feed: &ProgressFeed,
-) -> Result<Option<CacheStats>, String> {
-    let image = job.materialize_image(&shared.dataset)?;
-    let spec = job.cell_spec();
-    let mut attack = job.attack_config();
-    attack.threads = 1;
-    attack.nsga2.eval_threads = 1;
-    let campaign = Campaign::new(CampaignConfig {
-        attack,
-        base_seed: job.base_seed,
-        jobs: 1,
-        telemetry: false,
-    });
     // `detector_for` is `Fn` but this campaign visits exactly one cell,
-    // so the member handle is moved out of a slot on first (only) call.
-    let slot: Mutex<Option<GateDetector>> = Mutex::new(Some(detector));
+    // so a gate member is moved out of its slot on that one call.
+    let member = Mutex::new(member);
     let result = campaign.run_observed(
         std::slice::from_ref(&spec),
-        |_cell| {
-            let member = slot
-                .lock()
-                .expect("gate member slot lock")
-                .take()
-                .expect("single-cell campaign requested a second detector");
-            Box::new(member) as Box<dyn Detector>
+        |cell| match member.lock().unwrap_or_else(PoisonError::into_inner).take() {
+            Some(member) => Box::new(member) as Box<dyn Detector>,
+            None if use_cache => zoo.cached_model(arch, cell.model_seed),
+            None => zoo.model(arch, cell.model_seed),
         },
         |_cell| image.clone(),
         &|_cell, line| feed.push(line.to_string()),

@@ -100,6 +100,13 @@ fn pipelined_roundtrip(
         stream.write_all(&stream_bytes[at..at + take]).expect("pipelined write");
         at += take;
     }
+    read_responses(&mut stream, expected)
+}
+
+/// Reads until `expected` responses have parsed or the peer closes, and
+/// returns their `(status, body)` sequence. A read that outlasts the
+/// socket's deadline fails the test.
+fn read_responses(stream: &mut TcpStream, expected: usize) -> Vec<(u16, Vec<u8>)> {
     let mut parser = ResponseParser::new(1024 * 1024);
     let mut responses = Vec::new();
     let mut buf = [0u8; 4096];
@@ -196,6 +203,25 @@ fn mid_pipeline_connection_close_truncates_the_conversation() {
         parser.next_response().expect("no trailing garbage").is_none(),
         "the request after Connection: close must go unanswered"
     );
+}
+
+/// The blocking front-end answers two requests written in one
+/// `write_all`: each connection keeps one request parser, so the request
+/// that arrives in the same read as the first one is served next instead
+/// of being dropped with a per-request parser.
+#[test]
+fn blocking_front_end_answers_requests_pipelined_in_one_write() {
+    let config = ServerConfig { reactor: false, ..reactor_config(scratch("blocking_pipeline")) };
+    let server = Server::start(config).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let mut burst = render(0, false); // GET /healthz
+    burst.extend_from_slice(&render(1, false)); // GET /does-not-exist
+    stream.write_all(&burst).expect("pipelined write");
+    let statuses: Vec<u16> = read_responses(&mut stream, 2).iter().map(|r| r.0).collect();
+    assert_eq!(statuses, [200, 404]);
+    drop(stream);
+    server.shutdown();
 }
 
 /// Sequential requests on one keep-alive connection answer at loopback

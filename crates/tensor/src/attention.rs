@@ -234,7 +234,7 @@ impl MultiHeadAttention {
     }
 
     /// [`Self::forward`] over a row-stacked batch of `item_rows`-row token
-    /// matrices (see [`crate::batch`]).
+    /// matrices (see [`Matrix::vstack`]).
     ///
     /// The four projections run **once** over the stacked matrix — their
     /// GEMMs compute every output row independently, so this streams the

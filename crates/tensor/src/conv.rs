@@ -246,69 +246,6 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// Runs the convolution over a batch of equally-shaped inputs.
-    ///
-    /// Under the `Blocked` policy the whole batch lowers into **one**
-    /// column-concatenated [`crate::gemm::im2col_batch`] matrix and a
-    /// single GEMM; `Reference` loops the per-item forward. Either way
-    /// each item's output is `==`-identical to [`Self::forward`] on that
-    /// item alone — batching is a speed knob, not a semantic one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if inputs disagree in shape
-    /// or fail the [`Self::forward`] checks.
-    pub fn forward_batch(&self, inputs: &[&FeatureMap]) -> Result<Vec<FeatureMap>> {
-        let Some(first) = inputs.first() else {
-            return Ok(Vec::new());
-        };
-        for input in inputs {
-            if input.shape() != first.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    op: "conv2d batch",
-                    lhs: vec![first.channels(), first.height(), first.width()],
-                    rhs: vec![input.channels(), input.height(), input.width()],
-                });
-            }
-        }
-        if let KernelPolicy::Reference = self.policy {
-            return inputs.iter().map(|input| self.forward(input)).collect();
-        }
-        if first.channels() != self.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                lhs: vec![self.in_channels],
-                rhs: vec![first.channels()],
-            });
-        }
-        let (in_h, in_w) = (first.height(), first.width());
-        if in_h + 2 * self.padding < self.kernel_h || in_w + 2 * self.padding < self.kernel_w {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d (input smaller than kernel)",
-                lhs: vec![in_h, in_w],
-                rhs: vec![self.kernel_h, self.kernel_w],
-            });
-        }
-        let (out_h, out_w) = self.output_size(in_h, in_w);
-        let window = DirtyRect::full(out_w, out_h);
-        let geometry = ConvGeometry {
-            kernel_h: self.kernel_h,
-            kernel_w: self.kernel_w,
-            stride: self.stride,
-            padding: self.padding,
-        };
-        let cols = gemm::im2col_batch(inputs, geometry, &window);
-        let scores = gemm::conv_scores(&self.weights, &self.bias, &cols);
-        let cells = out_h * out_w;
-        Ok((0..inputs.len())
-            .map(|item| {
-                let mut out = FeatureMap::zeros(self.out_channels, out_h, out_w);
-                gemm::scatter_columns(&scores, item * cells, &mut out, &window);
-                out
-            })
-            .collect())
-    }
-
     /// One output activation: the shared per-cell kernel of the full and
     /// the incremental path, so both produce bit-identical results (same
     /// accumulation order).
@@ -644,36 +581,6 @@ mod tests {
         let mut reference = conv.clone();
         reference.set_kernel_policy(KernelPolicy::Reference);
         assert_eq!(cached, reference.forward(&perturbed).unwrap());
-    }
-
-    #[test]
-    fn batched_forward_matches_per_item_forward_bitwise() {
-        for policy in KernelPolicy::ALL {
-            for (stride, padding) in [(1, 0), (1, 1), (2, 1)] {
-                let mut init = WeightInit::from_seed(17);
-                let mut conv = Conv2d::seeded(4, 2, 3, 3, stride, padding, &mut init).unwrap();
-                conv.set_kernel_policy(policy);
-                let items: Vec<FeatureMap> =
-                    (0..3).map(|i| noisy_map(2, 11, 14, i as f32 * 0.7)).collect();
-                let refs: Vec<&FeatureMap> = items.iter().collect();
-                let batched = conv.forward_batch(&refs).unwrap();
-                for (item, out) in items.iter().zip(&batched) {
-                    assert_eq!(out, &conv.forward(item).unwrap(), "{policy} s{stride} p{padding}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_forward_validates_shapes() {
-        let mut init = WeightInit::from_seed(5);
-        let conv = Conv2d::seeded(2, 1, 3, 3, 1, 1, &mut init).unwrap();
-        let a = noisy_map(1, 8, 8, 0.0);
-        let b = noisy_map(1, 8, 9, 0.0);
-        assert!(conv.forward_batch(&[&a, &b]).is_err());
-        let c = noisy_map(2, 8, 8, 0.0);
-        assert!(conv.forward_batch(&[&c]).is_err(), "channel mismatch");
-        assert!(conv.forward_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

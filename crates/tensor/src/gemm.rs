@@ -29,11 +29,9 @@
 //! (DETR's per-head `softmax·V` is 6 columns wide, all of them edge
 //! columns).
 //!
-//! Every loop nest additionally parallelises over *output rows* via
-//! [`crate::threads`]: the row range splits into contiguous bands, each
-//! band running the same serial kernel on its disjoint output sub-slice.
-//! Because per-element summation order is untouched by banding, outputs
-//! are `==`-identical at any thread count.
+//! Every kernel runs serially on the calling thread: the attack's
+//! parallelism lives a level up, across campaign cells or across one
+//! generation's masks (`bea_core::grid::run_sharded`).
 
 use crate::dirty::DirtyRect;
 use crate::error::{Result, TensorError};
@@ -42,7 +40,6 @@ use crate::pack::PackedWeights;
 use crate::scratch::ScratchGuard;
 use crate::simd::F32x8;
 use crate::tensor3::FeatureMap;
-use crate::threads;
 use std::fmt;
 use std::str::FromStr;
 
@@ -197,57 +194,33 @@ fn gemm_nn_rows<const R: usize>(
 /// `out[m×n] = row_init ⊕ a[m×kk] · b[kk×n]`, with `b` row-major
 /// (contiguous along `n`). Each output element starts at `row_init(i)` and
 /// accumulates its `kk` products in ascending-k order. The `n % NR` edge
-/// columns run through the same microkernel over `edge`, their
-/// zero-padded panel (see [`edge_panel`]). Serial: the threaded entry
-/// point packs `edge` once, bands the row range and calls this per band.
-#[allow(clippy::too_many_arguments)]
+/// columns run through the same microkernel over their zero-padded panel
+/// (see [`edge_panel`]), packed once per call.
 fn gemm_nn<I: Fn(usize) -> f32>(
     m: usize,
     kk: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    edge: &[f32],
     row_init: I,
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * kk);
     debug_assert_eq!(b.len(), kk * n);
     debug_assert_eq!(out.len(), m * n);
-    debug_assert!(n.is_multiple_of(NR) || edge.len() == kk * NR);
-    let mut i0 = 0;
-    while i0 + MR <= m {
-        gemm_nn_rows::<MR>(i0, kk, n, a, b, edge, &row_init, out);
-        i0 += MR;
-    }
-    for i in i0..m {
-        gemm_nn_rows::<1>(i, kk, n, a, b, edge, &row_init, out);
-    }
-}
-
-/// [`gemm_nn`] with the edge panel packed once on the calling thread and
-/// the output rows banded over the scoped worker pool. Each band runs the
-/// serial kernel on its disjoint slice of `a`/`out`, so the result is
-/// bit-identical at any thread count.
-fn gemm_nn_threaded<I: Fn(usize) -> f32 + Sync>(
-    m: usize,
-    kk: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    row_init: I,
-    out: &mut [f32],
-) {
     if m == 0 || n == 0 {
         return;
     }
     let full = n - n % NR;
     let edge = edge_panel(kk, n - full, |k, nj| b[k * n + full + nj]);
-    threads::parallel_row_bands(out, n, m, m * kk * n, |row0, band| {
-        let rows = band.len() / n;
-        let a = &a[row0 * kk..(row0 + rows) * kk];
-        gemm_nn(rows, kk, n, a, b, &edge, |i| row_init(row0 + i), band);
-    });
+    let mut i0 = 0;
+    while i0 + MR <= m {
+        gemm_nn_rows::<MR>(i0, kk, n, a, b, &edge, &row_init, out);
+        i0 += MR;
+    }
+    for i in i0..m {
+        gemm_nn_rows::<1>(i, kk, n, a, b, &edge, &row_init, out);
+    }
 }
 
 /// The NT microkernel over pre-transposed panels: `out[m×n] = a · bᵀ` where
@@ -255,7 +228,7 @@ fn gemm_nn_threaded<I: Fn(usize) -> f32 + Sync>(
 /// `panel[k·NR + nj] = b[(j0+nj)·kk + k]`, tiles concatenated) and `edge`
 /// the same layout for the `n % NR` edge columns, zero-padded to `NR`
 /// lanes. Accumulation order per output element is ascending k, as
-/// everywhere in this module. Serial: callers band the row range.
+/// everywhere in this module.
 fn gemm_nt_panels(
     m: usize,
     kk: usize,
@@ -285,22 +258,6 @@ fn gemm_nt_panels(
     }
 }
 
-/// [`gemm_nt_panels`] with the output rows banded over the worker pool.
-fn gemm_nt_panels_threaded(
-    m: usize,
-    kk: usize,
-    n: usize,
-    a: &[f32],
-    panels: &[f32],
-    edge: &[f32],
-    out: &mut [f32],
-) {
-    threads::parallel_row_bands(out, n, m, m * kk * n, |row0, band| {
-        let rows = band.len() / n;
-        gemm_nt_panels(rows, kk, n, &a[row0 * kk..(row0 + rows) * kk], panels, edge, band);
-    });
-}
-
 /// The zero-padded NT edge panel of `b` (`n × kk`, row-major): lanes hold
 /// `b`'s rows `n - n % NR..n`, k-major.
 fn nt_edge_panel(kk: usize, n: usize, b: &[f32]) -> ScratchGuard<f32> {
@@ -310,13 +267,10 @@ fn nt_edge_panel(kk: usize, n: usize, b: &[f32]) -> ScratchGuard<f32> {
 
 /// `out[m×n] = a[m×kk] · b[n×kk]ᵀ`, with both operands row-major. All of
 /// `b`'s full `NR`-wide column tiles — and its padded edge tile — are
-/// transpose-packed k-major **once on the calling thread** (the pack
-/// buffers come from the caller's scratch arena — `q·kᵀ` runs this with a
+/// transpose-packed k-major once per call (the pack
+/// buffers come from the scratch arena — `q·kᵀ` runs this with a
 /// data-dependent `b` every iteration, and pooling keeps that
-/// allocation-free at steady state), then the row range fans out over the
-/// worker pool. Packing on the caller rather than per worker band avoids
-/// duplicate transposes and keeps the scratch checkout on the thread whose
-/// pool outlives the scoped workers.
+/// allocation-free at steady state).
 fn gemm_nt(m: usize, kk: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * kk);
     debug_assert_eq!(b.len(), n * kk);
@@ -339,7 +293,7 @@ fn gemm_nt(m: usize, kk: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
             }
         }
     }
-    gemm_nt_panels_threaded(m, kk, n, a, &pack, &nt_edge_panel(kk, n, b), out);
+    gemm_nt_panels(m, kk, n, a, &pack, &nt_edge_panel(kk, n, b), out);
 }
 
 /// [`gemm_nt`] with the full-tile transpose-pack hoisted out: full
@@ -365,7 +319,7 @@ pub(crate) fn gemm_nt_prepacked(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_nt_panels_threaded(m, kk, n, a, packed.all_panels(), &nt_edge_panel(kk, n, b), out);
+    gemm_nt_panels(m, kk, n, a, packed.all_panels(), &nt_edge_panel(kk, n, b), out);
 }
 
 /// Blocked matrix product `a · b` (the fast path of
@@ -383,15 +337,7 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         });
     }
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_nn_threaded(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        a.as_slice(),
-        b.as_slice(),
-        |_| 0.0,
-        out.as_mut_slice(),
-    );
+    gemm_nn(a.rows(), a.cols(), b.cols(), a.as_slice(), b.as_slice(), |_| 0.0, out.as_mut_slice());
     Ok(out)
 }
 
@@ -435,9 +381,7 @@ pub struct ConvGeometry {
 /// kernel's `(ic, ky, kx)` loop order exactly, and window cells are laid
 /// out row-major — so a GEMM over this matrix accumulates each output
 /// cell's terms in the reference order. Padded coordinates contribute
-/// explicit `0.0` entries. The `k` rows are independent gathers, so the
-/// fill loop nest bands them over the worker pool; each row's values do
-/// not depend on which band computes it.
+/// explicit `0.0` entries.
 pub fn im2col(input: &FeatureMap, geometry: ConvGeometry, window: &DirtyRect) -> Matrix {
     let ConvGeometry { kernel_h, kernel_w, stride, padding } = geometry;
     let (in_h, in_w) = (input.height(), input.width());
@@ -449,85 +393,25 @@ pub fn im2col(input: &FeatureMap, geometry: ConvGeometry, window: &DirtyRect) ->
         return cols;
     }
     let khw = kernel_h * kernel_w;
-    threads::parallel_row_bands(
-        cols.as_mut_slice(),
-        cells,
-        k_total,
-        k_total * cells,
-        |k0, band| {
-            for (dk, row) in band.chunks_mut(cells).enumerate() {
-                let k = k0 + dk;
-                let (ic, ky, kx) = (k / khw, (k % khw) / kernel_w, k % kernel_w);
-                let chan = input.channel(ic);
-                for oy in window.y0..window.y1 {
-                    let iy = oy * stride + ky;
-                    let row_base = (oy - window.y0) * cells_w;
-                    if iy < padding || iy >= in_h + padding {
-                        continue; // the zeros(…) fill already encodes padding
-                    }
-                    let chan_base = (iy - padding) * in_w;
-                    for ox in window.x0..window.x1 {
-                        let ix = ox * stride + kx;
-                        if ix < padding || ix >= in_w + padding {
-                            continue;
-                        }
-                        row[row_base + (ox - window.x0)] = chan[chan_base + (ix - padding)];
-                    }
-                }
+    for (k, row) in cols.as_mut_slice().chunks_mut(cells).enumerate() {
+        let (ic, ky, kx) = (k / khw, (k % khw) / kernel_w, k % kernel_w);
+        let chan = input.channel(ic);
+        for oy in window.y0..window.y1 {
+            let iy = oy * stride + ky;
+            let row_base = (oy - window.y0) * cells_w;
+            if iy < padding || iy >= in_h + padding {
+                continue; // the zeros(…) fill already encodes padding
             }
-        },
-    );
-    cols
-}
-
-/// Batched [`im2col`]: lowers `inputs` (equally-shaped feature maps) into
-/// one wide k-major matrix whose columns are the per-item cell blocks
-/// concatenated — `wide[k][b·cells + c] == im2col(inputs[b])[k][c]`. A
-/// single GEMM over this matrix computes every item's convolution; each
-/// output element reads exactly the terms the per-item lowering feeds it,
-/// in the same ascending-k order, so batching cannot change results.
-///
-/// Shapes are debug-asserted equal — `Conv2d::forward_batch` validates.
-pub fn im2col_batch(inputs: &[&FeatureMap], geometry: ConvGeometry, window: &DirtyRect) -> Matrix {
-    let ConvGeometry { kernel_h, kernel_w, stride, padding } = geometry;
-    let Some(first) = inputs.first() else {
-        return Matrix::zeros(0, 0);
-    };
-    debug_assert!(inputs.iter().all(|i| i.shape() == first.shape()));
-    let (in_h, in_w) = (first.height(), first.width());
-    let cells_w = window.x1.saturating_sub(window.x0);
-    let cells = window.y1.saturating_sub(window.y0) * cells_w;
-    let k_total = first.channels() * kernel_h * kernel_w;
-    let mut cols = Matrix::zeros(k_total, cells * inputs.len());
-    if cells == 0 || k_total == 0 {
-        return cols;
-    }
-    let khw = kernel_h * kernel_w;
-    let wide = cells * inputs.len();
-    threads::parallel_row_bands(cols.as_mut_slice(), wide, k_total, k_total * wide, |k0, band| {
-        for (dk, wide_row) in band.chunks_mut(wide).enumerate() {
-            let k = k0 + dk;
-            let (ic, ky, kx) = (k / khw, (k % khw) / kernel_w, k % kernel_w);
-            for (item, row) in wide_row.chunks_mut(cells).enumerate() {
-                let chan = inputs[item].channel(ic);
-                for oy in window.y0..window.y1 {
-                    let iy = oy * stride + ky;
-                    let row_base = (oy - window.y0) * cells_w;
-                    if iy < padding || iy >= in_h + padding {
-                        continue;
-                    }
-                    let chan_base = (iy - padding) * in_w;
-                    for ox in window.x0..window.x1 {
-                        let ix = ox * stride + kx;
-                        if ix < padding || ix >= in_w + padding {
-                            continue;
-                        }
-                        row[row_base + (ox - window.x0)] = chan[chan_base + (ix - padding)];
-                    }
+            let chan_base = (iy - padding) * in_w;
+            for ox in window.x0..window.x1 {
+                let ix = ox * stride + kx;
+                if ix < padding || ix >= in_w + padding {
+                    continue;
                 }
+                row[row_base + (ox - window.x0)] = chan[chan_base + (ix - padding)];
             }
         }
-    });
+    }
     cols
 }
 
@@ -553,7 +437,7 @@ pub fn gemm_bias(a: &Matrix, b: &Matrix, bias: &[f32]) -> Result<Matrix> {
         return Err(TensorError::LengthMismatch { expected: a.rows(), actual: bias.len() });
     }
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_nn_threaded(
+    gemm_nn(
         a.rows(),
         a.cols(),
         b.cols(),
@@ -574,7 +458,7 @@ pub(crate) fn conv_scores(weights: &[f32], bias: &[f32], cols: &Matrix) -> Matri
     let kk = cols.rows();
     debug_assert_eq!(weights.len(), m * kk);
     let mut out = Matrix::zeros(m, cols.cols());
-    gemm_nn_threaded(m, kk, cols.cols(), weights, cols.as_slice(), |i| bias[i], out.as_mut_slice());
+    gemm_nn(m, kk, cols.cols(), weights, cols.as_slice(), |i| bias[i], out.as_mut_slice());
     out
 }
 
@@ -587,26 +471,13 @@ pub(crate) fn conv_scores(weights: &[f32], bias: &[f32], cols: &Matrix) -> Matri
 /// Panics (via slice indexing) if `scores` does not have one row per
 /// output channel and one column per window cell.
 pub fn scatter_window(scores: &Matrix, out: &mut FeatureMap, window: &DirtyRect) {
-    scatter_columns(scores, 0, out, window);
-}
-
-/// [`scatter_window`] reading the window cells from column offset `col0`
-/// of a wider score matrix — the per-item leg of the batched
-/// [`im2col_batch`] lowering, whose GEMM result holds one cell block per
-/// batch item.
-pub(crate) fn scatter_columns(
-    scores: &Matrix,
-    col0: usize,
-    out: &mut FeatureMap,
-    window: &DirtyRect,
-) {
     let cells_w = window.x1.saturating_sub(window.x0);
     let out_w = out.width();
     for oc in 0..out.channels() {
         let row = scores.row(oc);
         let chan = out.channel_mut(oc);
         for oy in window.y0..window.y1 {
-            let base = col0 + (oy - window.y0) * cells_w;
+            let base = (oy - window.y0) * cells_w;
             let src = &row[base..base + cells_w];
             chan[oy * out_w + window.x0..oy * out_w + window.x1].copy_from_slice(src);
         }
@@ -638,8 +509,6 @@ pub fn col2im(scores: &Matrix, out_h: usize, out_w: usize) -> Result<FeatureMap>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threads::set_threads;
-    use crate::threads::test_support::THREAD_KNOB;
 
     fn noisy(rows: usize, cols: usize, phase: f32) -> Matrix {
         let data = (0..rows * cols).map(|i| ((i as f32) * 0.37 + phase).sin() * 3.0).collect();
@@ -750,58 +619,6 @@ mod tests {
                 "shape ({m},{kk},{n})"
             );
         }
-    }
-
-    #[test]
-    fn threaded_kernels_match_single_threaded_bitwise() {
-        // Shapes chosen to clear the MIN_PAR_WORK threshold and to leave
-        // ragged tile tails in both m and n; thread counts that divide the
-        // rows unevenly. Banding must never change a single bit.
-        let _guard = THREAD_KNOB.lock().unwrap();
-        set_threads(1);
-        for (m, kk, n) in [(37, 40, 33), (64, 16, 64), (13, 128, 29)] {
-            let a = noisy(m, kk, 0.2);
-            let b = noisy(kk, n, 1.1);
-            let bt = noisy(n, kk, 2.3);
-            let serial_nn = matmul_blocked(&a, &b).unwrap();
-            let serial_nt = matmul_nt_blocked(&a, &bt).unwrap();
-            let packed = PackedWeights::pack(&bt);
-            let serial_packed = crate::pack::matmul_nt_packed(&a, &bt, &packed).unwrap();
-            for t in [2, 3, 4, 7] {
-                set_threads(t);
-                assert_eq!(matmul_blocked(&a, &b).unwrap(), serial_nn, "nn ({m},{kk},{n}) t={t}");
-                assert_eq!(
-                    matmul_nt_blocked(&a, &bt).unwrap(),
-                    serial_nt,
-                    "nt ({m},{kk},{n}) t={t}"
-                );
-                assert_eq!(
-                    crate::pack::matmul_nt_packed(&a, &bt, &packed).unwrap(),
-                    serial_packed,
-                    "nt_packed ({m},{kk},{n}) t={t}"
-                );
-            }
-            set_threads(1);
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn threaded_im2col_matches_single_threaded() {
-        let _guard = THREAD_KNOB.lock().unwrap();
-        let mut input = FeatureMap::zeros(3, 40, 48);
-        for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as f32) * 0.173).sin() * 2.0;
-        }
-        let geometry = ConvGeometry { kernel_h: 3, kernel_w: 3, stride: 1, padding: 1 };
-        let window = DirtyRect::full(48, 40);
-        set_threads(1);
-        let serial = im2col(&input, geometry, &window);
-        for t in [2, 4, 5] {
-            set_threads(t);
-            assert_eq!(im2col(&input, geometry, &window), serial, "t={t}");
-        }
-        set_threads(0);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * deterministic seeded weight initialisation ([`init`]),
 //! * register-blocked fast kernels behind a [`KernelPolicy`] dispatch and
 //!   the golden differential harness proving them exact ([`gemm`],
-//!   [`golden`]), with explicit SIMD lanes ([`simd`]), a scoped
-//!   worker-thread pool ([`threads`]) and a population-batch wrapper
-//!   ([`batch`]) — all `==`-identical to the reference loops.
+//!   [`golden`]), with explicit SIMD lanes ([`simd`]) — all
+//!   `==`-identical to the reference loops.
 //!
 //! Everything is `f32`, row-major, and deterministic given a seed.
 //!
@@ -42,7 +41,6 @@
 pub mod activation;
 pub mod attention;
 pub mod autodiff;
-pub mod batch;
 pub mod conv;
 pub mod dirty;
 pub mod error;
@@ -59,10 +57,8 @@ pub mod simd;
 pub mod stats;
 pub mod tape;
 pub mod tensor3;
-pub mod threads;
 
 pub use attention::MultiHeadAttention;
-pub use batch::MatrixBatch;
 pub use conv::Conv2d;
 pub use dirty::DirtyRect;
 pub use error::{Result, TensorError};

@@ -94,8 +94,8 @@ impl PackedWeights {
         &self.panels[tile * span..(tile + 1) * span]
     }
 
-    /// All full-tile panels concatenated (the layout the banded NT
-    /// microkernel consumes directly).
+    /// All full-tile panels concatenated (the layout the NT microkernel
+    /// consumes directly).
     pub(crate) fn all_panels(&self) -> &[f32] {
         &self.panels
     }
