@@ -38,7 +38,6 @@ struct Options {
     smoke: bool,
     drain_secs: u64,
     reactor: bool,
-    batch: usize,
     tenant_rate: f64,
     tenant_burst: f64,
     tenant_quota: usize,
@@ -58,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         smoke: false,
         drain_secs: 60,
         reactor: false,
-        batch: 1,
         tenant_rate: 0.0,
         tenant_burst: 1.0,
         tenant_quota: 0,
@@ -78,7 +76,14 @@ fn parse_args() -> Result<Options, String> {
             "--smoke" => options.smoke = true,
             "--drain-secs" => options.drain_secs = args.parse(&flag)?,
             "--reactor" => options.reactor = true,
-            "--batch" => options.batch = args.parse(&flag)?,
+            "--batch" => {
+                let batch: usize = args.parse(&flag)?;
+                if batch != 1 {
+                    return Err(format!(
+                        "--batch {batch}: cross-job batching is gone; only --batch 1 is accepted"
+                    ));
+                }
+            }
             "--tenant-rate" => options.tenant_rate = args.parse(&flag)?,
             "--tenant-burst" => options.tenant_burst = args.parse(&flag)?,
             "--tenant-quota" => options.tenant_quota = args.parse(&flag)?,
@@ -90,13 +95,13 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: serve_cli [--addr HOST:PORT] [--workers N] [--queue N] \
                             [--out DIR] [--smoke] [--drain-secs N] [--reactor] \
-                            [--batch N] [--tenant-rate R] [--tenant-burst B] [--tenant-quota N] \
+                            [--tenant-rate R] [--tenant-burst B] [--tenant-quota N] \
                             [--shards N] [--idle-secs N] [--conn-requests N]\n\
                             --smoke serves the 4-image smoke dataset (fast jobs for CI)\n\
                             --reactor multiplexes all connections on one epoll thread instead of\n\
                             a thread per connection (Linux; elsewhere it falls back)\n\
-                            --batch stacks up to N compatible queued jobs into shared forward\n\
-                            passes (default 1 = off); served CSVs are identical either way\n\
+                            --batch 1 is accepted and does nothing: each worker runs one job at a\n\
+                            time; the flag stays only so older command lines keep parsing\n\
                             --tenant-rate/--tenant-burst set the per-tenant token bucket\n\
                             (submissions/s and burst size; rate 0 = unlimited) and\n\
                             --tenant-quota caps each tenant's queued+running jobs (0 = unlimited)\n\
@@ -115,9 +120,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(args::unknown_flag(other)),
         }
-    }
-    if options.batch == 0 {
-        return Err("--batch must be at least 1".into());
     }
     if options.shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -157,7 +159,6 @@ fn run_single(options: &Options) -> ExitCode {
         drain_deadline: Duration::from_secs(options.drain_secs),
         request_log: true,
         reactor: options.reactor,
-        batch_max: options.batch,
         tenant_policy: TenantPolicy {
             rate: options.tenant_rate,
             burst: options.tenant_burst,
@@ -177,10 +178,9 @@ fn run_single(options: &Options) -> ExitCode {
         }
     };
     println!(
-        "bea-serve listening on http://{} ({} front-end, batch {} per group)",
+        "bea-serve listening on http://{} ({} front-end)",
         server.addr(),
         if options.reactor { "reactor" } else { "thread-per-connection" },
-        options.batch,
     );
     println!("store: {}", options.out.display());
     println!("endpoints: POST /v1/attacks, GET /v1/attacks/{{id}}[/csv|/progress], GET /healthz, GET /metrics, POST /v1/shutdown");
@@ -222,8 +222,6 @@ fn spawn_shard(options: &Options, shard: usize) -> io::Result<Shard> {
         .arg(options.out.join(format!("shard-{shard}")))
         .arg("--drain-secs")
         .arg(options.drain_secs.to_string())
-        .arg("--batch")
-        .arg(options.batch.to_string())
         .arg("--tenant-rate")
         .arg(options.tenant_rate.to_string())
         .arg("--tenant-burst")

@@ -14,6 +14,7 @@
 
 use crate::attack::AttackConfig;
 use crate::campaign::CellSpec;
+use crate::grid::fnv1a;
 use crate::telemetry::{parse_json_with_limits, JsonLimits, JsonObject, JsonValue};
 use bea_detect::{Architecture, KernelPolicy};
 use bea_image::Image;
@@ -238,6 +239,20 @@ impl AttackJob {
     /// [`AttackJob::from_json`] accepts and the server persists to its
     /// job log).
     pub fn to_json(&self) -> String {
+        self.result_fields().string("tenant", &self.tenant).finish()
+    }
+
+    /// The key a served result persists under: FNV-1a of the job's
+    /// canonical JSON without `tenant`. That JSON holds everything that
+    /// determines the result (cell, image, GA budget, base seed, cache
+    /// and kernel settings) and tenancy never does, so exact repeats
+    /// share a key and jobs that differ in any field do not.
+    pub fn result_key(&self) -> u64 {
+        fnv1a(self.result_fields().finish().as_bytes())
+    }
+
+    /// Every canonical JSON field except `tenant`, in wire order.
+    fn result_fields(&self) -> JsonObject {
         let mut object = JsonObject::new().string("arch", self.arch.name());
         object = object.integer("model_seed", self.model_seed);
         object = match &self.image {
@@ -264,8 +279,6 @@ impl AttackJob {
             .integer("seed", self.base_seed)
             .boolean("cache", self.use_cache)
             .string("kernels", self.kernel_policy.name())
-            .string("tenant", &self.tenant)
-            .finish()
     }
 
     /// The campaign cell this job corresponds to — the identity under
@@ -468,6 +481,38 @@ mod tests {
         assert_eq!(tenanted.cell_spec(), spec);
         let reference = AttackJob { kernel_policy: KernelPolicy::Reference, ..job };
         assert_eq!(reference.attack_config().kernel_policy, KernelPolicy::Reference);
+    }
+
+    #[test]
+    fn result_keys_split_configs_and_ignore_tenancy() {
+        let job = AttackJob::default();
+        let key = job.result_key();
+        assert_eq!(AttackJob { tenant: "other".to_string(), ..job.clone() }.result_key(), key);
+        assert_eq!(AttackJob::from_json(&job.to_json()).unwrap().result_key(), key);
+        // Same cell, different result: every field but the tenant
+        // splits the key.
+        let variants = [
+            AttackJob { base_seed: 6, ..job.clone() },
+            AttackJob { population: 8, ..job.clone() },
+            AttackJob { generations: 2, ..job.clone() },
+            AttackJob { use_cache: true, ..job.clone() },
+            AttackJob { kernel_policy: KernelPolicy::Reference, ..job.clone() },
+            AttackJob {
+                image: ImageSpec::Filled { width: 8, height: 4, rgb: [1.0, 2.0, 3.0] },
+                ..job.clone()
+            },
+            AttackJob {
+                image: ImageSpec::Filled { width: 8, height: 4, rgb: [1.0, 2.0, 4.0] },
+                ..job.clone()
+            },
+        ];
+        let mut keys: Vec<u64> = variants.iter().map(AttackJob::result_key).collect();
+        keys.push(key);
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), variants.len() + 1, "every variant has its own key");
+        // The two inline images share a cell (index 0) but not a key.
+        assert_eq!(variants[5].cell_spec(), variants[6].cell_spec());
     }
 
     #[test]

@@ -50,7 +50,6 @@
 
 pub mod attack;
 pub mod baseline;
-pub mod batch;
 pub mod campaign;
 pub mod errors;
 pub mod grid;
@@ -70,10 +69,9 @@ pub(crate) mod whitebox;
 pub(crate) mod test_fixtures;
 
 pub use attack::{AttackConfig, AttackOutcome, AttackStrategy, ButterflyAttack};
-pub use batch::{BatchGate, GateDetector};
 pub use campaign::{Campaign, CampaignConfig, CampaignResult, CellSpec};
 pub use errors::{ErrorTransition, TransitionReport};
 pub use job::{AttackJob, ImageSpec, JobStatus};
 pub use problem::ButterflyProblem;
-pub use queue::{BoundedQueue, FairQueue, PushError};
+pub use queue::{FairQueue, PushError};
 pub use transfer::{TargetPath, TransferCellSpec, TransferConfig, TransferGrid, TransferMatrix};

@@ -375,7 +375,7 @@ impl Problem for ButterflyProblem<'_> {
     /// worker (on the calling thread when one chunk covers it), and each
     /// chunk makes one batched detector call per `(placement, frame,
     /// detector)` cell instead of one scalar call per genome, so
-    /// detectors with a batchable global stage (DETR behind a
+    /// detectors with a stackable global stage (DETR behind a
     /// [`bea_detect::CachedDetector`]) push the chunk through a single
     /// stacked transformer pass and stream their weights once per call.
     ///

@@ -1,26 +1,22 @@
-//! Bounded multi-producer multi-consumer job queues with explicit
-//! backpressure — the admission-control primitives behind `bea-serve`.
+//! The bounded, tenant-fair multi-producer multi-consumer job queue
+//! with explicit backpressure — the admission-control primitive behind
+//! `bea-serve`.
 //!
-//! [`BoundedQueue`] is the single-lane original: a `Mutex<VecDeque>`
-//! plus one `Condvar`. [`BoundedQueue::try_push`] never blocks — a full
-//! queue is reported to the producer (HTTP `429` upstream) instead of
-//! buffering without bound, and a closed queue refuses new work during
-//! shutdown. [`BoundedQueue::pop`] blocks consumers until an item
-//! arrives or the queue closes; after [`BoundedQueue::close`],
-//! consumers stop immediately and the undrained items are recovered
-//! with [`BoundedQueue::drain_remaining`] so the caller can persist
-//! them.
-//!
-//! [`FairQueue`] is the multi-tenant variant: one FIFO lane per tenant
-//! under a single global capacity, popped round-robin across lanes so a
-//! tenant flooding the queue cannot starve the others, plus
-//! [`FairQueue::pop_group`] which assembles a compatible batch for the
-//! cross-job batching path.
+//! [`FairQueue`] keeps one FIFO lane per tenant under a single global
+//! capacity and pops round-robin across lanes, so a tenant flooding the
+//! queue cannot starve the others. [`FairQueue::try_push`] never
+//! blocks: a full queue is reported to the producer (HTTP `429`
+//! upstream) instead of buffering without bound, and a closed queue
+//! refuses new work during shutdown. [`FairQueue::pop`] blocks consumers
+//! until an item arrives or the queue closes; after
+//! [`FairQueue::close`], consumers stop immediately and the undrained
+//! items are recovered with [`FairQueue::drain_remaining`] so the caller
+//! can persist them.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why [`BoundedQueue::try_push`] refused an item; the item rides along
+/// Why [`FairQueue::try_push`] refused an item; the item rides along
 /// so the producer keeps ownership.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -39,109 +35,6 @@ impl<T> PushError<T> {
     }
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// The bounded MPMC queue. See the [module docs](self).
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    available: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` once [`BoundedQueue::close`] ran.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
-    /// Enqueues without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`BoundedQueue::close`]; both return the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty and
-    /// open. Returns `None` once the queue closes — immediately, even if
-    /// items remain: close means "start no new work", and the leftovers
-    /// are recovered with [`BoundedQueue::drain_remaining`].
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if state.closed {
-                return None;
-            }
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            state = self.available.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Closes the queue: producers get [`PushError::Closed`], blocked and
-    /// future [`BoundedQueue::pop`] calls return `None`. Idempotent.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.available.notify_all();
-    }
-
-    /// Removes and returns every item still queued (ordinarily called
-    /// after [`BoundedQueue::close`], to persist work that never started).
-    pub fn drain_remaining(&self) -> Vec<T> {
-        self.state.lock().expect("queue lock").items.drain(..).collect()
-    }
-}
-
-impl<T> std::fmt::Debug for BoundedQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoundedQueue")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("closed", &self.is_closed())
-            .finish()
-    }
-}
-
 struct FairState<T> {
     /// One FIFO lane per tenant, in first-submission order. Lanes are
     /// kept once created (the tenant set is bounded by admission
@@ -155,15 +48,16 @@ struct FairState<T> {
 }
 
 impl<T> FairState<T> {
-    /// The index of the next non-empty lane at or after the cursor,
-    /// wrapping around.
-    fn next_busy_lane(&self) -> Option<usize> {
-        if self.lanes.is_empty() {
-            return None;
-        }
-        (0..self.lanes.len())
-            .map(|k| (self.cursor + k) % self.lanes.len())
-            .find(|&i| !self.lanes[i].1.is_empty())
+    /// Takes the front of the next non-empty lane at or after the
+    /// cursor (wrapping around) and moves the cursor past that lane.
+    fn pop_next(&mut self) -> Option<T> {
+        let lanes = self.lanes.len();
+        let lane =
+            (0..lanes).map(|k| (self.cursor + k) % lanes).find(|&i| !self.lanes[i].1.is_empty())?;
+        let item = self.lanes[lane].1.pop_front()?;
+        self.len -= 1;
+        self.cursor = (lane + 1) % lanes;
+        Some(item)
     }
 }
 
@@ -245,53 +139,13 @@ impl<T> FairQueue<T> {
     /// (close means "start no new work"; leftovers are recovered with
     /// [`FairQueue::drain_remaining`]).
     pub fn pop(&self) -> Option<T> {
-        self.pop_group(1, |_, _| false).map(|mut group| group.remove(0))
-    }
-
-    /// Dequeues a batch of up to `max` mutually compatible items,
-    /// blocking like [`FairQueue::pop`]. The first item comes from the
-    /// round-robin lane (fairness decides who *leads* a batch); the rest
-    /// are lane-front items accepted by `compatible(&seed, &candidate)`,
-    /// collected round-robin so one tenant cannot fill the whole batch
-    /// while others wait. Only lane fronts are taken — batching never
-    /// reorders a tenant's own submissions.
-    pub fn pop_group<F>(&self, max: usize, compatible: F) -> Option<Vec<T>>
-    where
-        F: Fn(&T, &T) -> bool,
-    {
-        let max = max.max(1);
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if state.closed {
                 return None;
             }
-            if let Some(lead) = state.next_busy_lane() {
-                let seed = state.lanes[lead].1.pop_front().expect("busy lane has a front");
-                state.len -= 1;
-                state.cursor = (lead + 1) % state.lanes.len();
-                let mut group = vec![seed];
-                // Cycle lanes starting at the new cursor; stop after a
-                // full lap adds nothing (every remaining front is
-                // incompatible or the lanes are dry).
-                let lanes = state.lanes.len();
-                let mut idle_laps = 0;
-                let mut at = state.cursor;
-                while group.len() < max && idle_laps < lanes {
-                    let front_ok = state.lanes[at]
-                        .1
-                        .front()
-                        .is_some_and(|candidate| compatible(&group[0], candidate));
-                    if front_ok {
-                        let item = state.lanes[at].1.pop_front().expect("front just checked");
-                        state.len -= 1;
-                        group.push(item);
-                        idle_laps = 0;
-                    } else {
-                        idle_laps += 1;
-                    }
-                    at = (at + 1) % lanes;
-                }
-                return Some(group);
+            if let Some(item) = state.pop_next() {
+                return Some(item);
             }
             state = self.available.wait(state).expect("queue lock");
         }
@@ -310,10 +164,7 @@ impl<T> FairQueue<T> {
     pub fn drain_remaining(&self) -> Vec<T> {
         let mut state = self.state.lock().expect("queue lock");
         let mut items = Vec::with_capacity(state.len);
-        while let Some(lane) = state.next_busy_lane() {
-            let item = state.lanes[lane].1.pop_front().expect("busy lane has a front");
-            state.len -= 1;
-            state.cursor = (lane + 1) % state.lanes.len();
+        while let Some(item) = state.pop_next() {
             items.push(item);
         }
         items
@@ -339,62 +190,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn queue_is_fifo_and_bounded() {
-        let queue = BoundedQueue::new(2);
-        assert_eq!(queue.capacity(), 2);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        assert_eq!(queue.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(1));
-        queue.try_push(3).unwrap();
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), Some(3));
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let queue = BoundedQueue::new(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.try_push(7).unwrap();
-        assert!(matches!(queue.try_push(8), Err(PushError::Full(8))));
-    }
-
-    #[test]
-    fn close_refuses_producers_and_releases_consumers() {
-        let queue: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
-        };
-        // Give the consumer a moment to block on the empty queue.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        queue.close();
-        assert_eq!(queue.try_push(3), Err(PushError::Closed(3)));
-        assert_eq!(PushError::Closed(3).into_inner(), 3);
-        // The blocked consumer saw either the pushed item or the close.
-        let seen = waiter.join().unwrap();
-        assert!(seen == Some(1) || seen.is_none(), "got {seen:?}");
-        // Close wins over remaining items; they drain explicitly.
-        assert_eq!(queue.pop(), None);
-        let mut rest = queue.drain_remaining();
-        if seen == Some(1) {
-            assert_eq!(rest, vec![2]);
-        } else {
-            rest.sort_unstable();
-            assert_eq!(rest, vec![1, 2]);
-        }
-        assert!(queue.is_empty());
-    }
-
-    #[test]
     fn concurrent_producers_and_consumers_account_for_every_item() {
         const PRODUCERS: usize = 4;
         const PER_PRODUCER: usize = 200;
-        let queue: Arc<BoundedQueue<usize>> = Arc::new(BoundedQueue::new(8));
+        let queue: Arc<FairQueue<usize>> = Arc::new(FairQueue::new(8));
         let consumed = Arc::new(AtomicUsize::new(0));
         let sum = Arc::new(AtomicUsize::new(0));
         let consumers: Vec<_> = (0..3)
@@ -410,15 +209,18 @@ mod tests {
                 })
             })
             .collect();
+        // Each producer is its own tenant, so the consumers pop
+        // round-robin across four lanes.
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
+                    let tenant = format!("t{p}");
                     for k in 0..PER_PRODUCER {
                         let mut item = p * PER_PRODUCER + k;
                         // Spin on Full: the bound is backpressure, not loss.
                         loop {
-                            match queue.try_push(item) {
+                            match queue.try_push(&tenant, item) {
                                 Ok(()) => break,
                                 Err(PushError::Full(back)) => {
                                     item = back;
@@ -480,44 +282,12 @@ mod tests {
         queue.close();
         assert!(queue.is_closed());
         assert_eq!(queue.try_push("a", 4), Err(PushError::Closed(4)));
+        assert_eq!(PushError::Closed(4).into_inner(), 4);
         // Close wins over remaining items; they drain explicitly.
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.drain_remaining(), vec![1, 2]);
         assert!(queue.is_empty());
         assert_eq!(FairQueue::<u32>::new(0).capacity(), 1);
-    }
-
-    #[test]
-    fn fair_queue_groups_take_compatible_lane_fronts() {
-        // Items are (tenant-ish id, compat class); compatibility is
-        // class equality.
-        let queue = FairQueue::new(16);
-        queue.try_push("a", ("a0", 1)).unwrap();
-        queue.try_push("a", ("a1", 1)).unwrap();
-        queue.try_push("a", ("a2", 2)).unwrap();
-        queue.try_push("b", ("b0", 1)).unwrap();
-        queue.try_push("b", ("b1", 1)).unwrap();
-        queue.try_push("c", ("c0", 2)).unwrap();
-
-        let same_class = |seed: &(&str, i32), other: &(&str, i32)| seed.1 == other.1;
-        // Seed a0 (class 1): collects round-robin from b then a again,
-        // but never digs past c's incompatible front.
-        let group = queue.pop_group(8, same_class).unwrap();
-        let ids: Vec<&str> = group.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec!["a0", "b0", "a1", "b1"]);
-        // Remaining fronts are class 2 and batch together.
-        let group = queue.pop_group(8, same_class).unwrap();
-        let ids: Vec<&str> = group.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec!["c0", "a2"]);
-        assert!(queue.is_empty());
-
-        // max caps the group even with compatible items waiting.
-        queue.try_push("a", ("x0", 9)).unwrap();
-        queue.try_push("a", ("x1", 9)).unwrap();
-        queue.try_push("a", ("x2", 9)).unwrap();
-        let group = queue.pop_group(2, same_class).unwrap();
-        assert_eq!(group.len(), 2);
-        assert_eq!(queue.len(), 1);
     }
 
     #[test]

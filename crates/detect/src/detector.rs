@@ -67,7 +67,7 @@ pub trait Detector: Send + Sync {
     /// capacity across generations. `out` is cleared first; each entry must
     /// equal `self.detect(imgs[i])` — batching is a pure speed knob, never
     /// an approximation. The default simply loops; detectors with a
-    /// batchable global stage (DETR's transformer) override this to push
+    /// stackable global stage (DETR's transformer) override this to push
     /// the whole population through one stacked forward pass.
     fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
         out.clear();

@@ -172,7 +172,7 @@ impl Detector for Ensemble {
         self.fuse(&self.member_predictions_masked(clean, mask))
     }
 
-    /// One batched pass per member (members with a batchable global stage
+    /// One batched pass per member (members with a stackable global stage
     /// — DETR's transformer — stack the whole batch through it), then
     /// per-image fusion across members. `==`-identical to fusing scalar
     /// passes, because each member's batching is bit-transparent.

@@ -163,19 +163,6 @@ fn read_response(stream: &mut TcpStream, parser: &mut ResponseParser) -> io::Res
     }
 }
 
-/// Reads the CRLF-terminated status line.
-fn read_status_line<R: io::BufRead>(reader: &mut R) -> io::Result<String> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    if line.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "empty response"));
-    }
-    Ok(line)
-}
-
 /// Resolves `addr`, connects within the configured deadline and turns
 /// Nagle's algorithm off: every request is one write, and holding it back
 /// for an ACK only adds latency.
@@ -343,37 +330,21 @@ impl Client {
             self.addr
         );
         stream.write_all(wire.as_bytes()).map_err(|e| timeout_error("request write", e))?;
-        let mut reader = BufReader::new(stream);
-        let status_line =
-            read_status_line(&mut reader).map_err(|e| timeout_error("response read", e))?;
-        let code = status_line.split(' ').nth(1).unwrap_or("");
-        let status: u16 = code.parse().map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad status code {code:?}: {e}"))
-        })?;
-        // Headers: read until the blank line, note the framing.
-        let mut chunked = false;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).map_err(|e| timeout_error("response read", e))?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if line.to_ascii_lowercase().replace(' ', "") == "transfer-encoding:chunked" {
-                chunked = true;
-            }
-        }
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if !chunked {
-            // An error response (404 on an unknown job) is an ordinary
-            // Connection: close body; deliver it as one line.
-            let mut text = String::new();
-            reader.read_to_string(&mut text).map_err(|e| timeout_error("response read", e))?;
-            for line in text.lines().filter(|l| !l.is_empty()) {
+        // A chunked head parses as a response with an empty body; any
+        // other answer (a 404 on an unknown job) arrives whole, framed by
+        // its Content-Length.
+        let mut parser = ResponseParser::new(MAX_RESPONSE_BODY);
+        let head = read_response(&mut stream, &mut parser)?;
+        if !head.header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+            for line in String::from_utf8_lossy(&head.body).lines().filter(|l| !l.is_empty()) {
                 on_line(line);
             }
-            return Ok(status);
+            return Ok(head.status);
         }
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        // The first chunks may already sit in the parser's buffer; the
+        // rest follow on the socket.
+        let mut reader = BufReader::new(io::Cursor::new(parser.take_buffered()).chain(stream));
         // Decode chunks as they arrive so the callback observes the
         // stream live, carrying any partial line across chunks.
         let mut carry = String::new();
@@ -402,7 +373,7 @@ impl Client {
         if !carry.trim_end().is_empty() {
             on_line(carry.trim_end());
         }
-        Ok(status)
+        Ok(head.status)
     }
 
     /// Polls `GET /v1/attacks/{id}` until the job leaves `queued` /
@@ -447,6 +418,7 @@ pub fn describe_status(code: u16) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Response;
     use std::net::TcpListener;
 
     #[test]
@@ -470,6 +442,70 @@ mod tests {
         // actually bounded the wait.
         assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
         mute.join().expect("mute server");
+    }
+
+    /// Answers one request on a loopback port with `pieces`, one write
+    /// each, and returns the address to dial.
+    fn canned_server(pieces: Vec<Vec<u8>>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.set_nodelay(true).expect("nodelay");
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") {
+                assert_eq!(stream.read(&mut byte).expect("request read"), 1, "request cut short");
+                head.push(byte[0]);
+            }
+            for piece in pieces {
+                stream.write_all(&piece).expect("response write");
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn progress_reads_the_same_stream_however_the_bytes_arrive() {
+        use crate::http::{chunked_head, encode_chunk, final_chunk};
+        // The second chunk ends mid-record; the third completes it.
+        let head = chunked_head(200, "application/jsonl");
+        let chunks = [
+            encode_chunk(b"{\"type\":\"generation\",\"gen\":0}\n"),
+            encode_chunk(b"{\"type\":\"generation\",\"gen\":1}\n{\"type\":\"gen"),
+            encode_chunk(b"eration\",\"gen\":2}\n{\"type\":\"progress_end\"}\n"),
+            final_chunk().to_vec(),
+        ];
+        let wire: Vec<u8> = head.iter().chain(chunks.iter().flatten()).copied().collect();
+        let together = vec![[head.clone(), chunks[0].clone()].concat(), chunks[1..].concat()];
+        let bytewise: Vec<Vec<u8>> = wire.iter().map(|&b| vec![b]).collect();
+
+        let mut seen = Vec::new();
+        for pieces in [together, bytewise] {
+            let (addr, server) = canned_server(pieces);
+            let mut lines = Vec::new();
+            let status =
+                Client::new(addr).progress("job-1", |line| lines.push(line.to_string())).unwrap();
+            server.join().expect("canned server");
+            seen.push((status, lines));
+        }
+        assert_eq!(seen[0], seen[1], "delivery must not change what the client reads");
+        let (status, lines) = &seen[0];
+        assert_eq!(*status, 200);
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert_eq!(lines[2], "{\"type\":\"generation\",\"gen\":2}");
+
+        // A plain error answer is delivered as its body's lines.
+        let mut not_found = Vec::new();
+        Response::json(404, "{\"error\":\"unknown job job-9\"}")
+            .write_to(&mut not_found)
+            .expect("encode 404");
+        let (addr, server) = canned_server(not_found.iter().map(|&b| vec![b]).collect());
+        let mut lines = Vec::new();
+        let status = Client::new(addr).progress("job-9", |line| lines.push(line.to_string()));
+        server.join().expect("canned server");
+        assert_eq!(status.unwrap(), 404);
+        assert_eq!(lines, vec!["{\"error\":\"unknown job job-9\"}".to_string()]);
     }
 
     #[test]

@@ -378,6 +378,16 @@ impl ResponseParser {
             }
         }
     }
+
+    /// Removes and returns the bytes buffered past the last parsed
+    /// response: the start of a body this parser does not frame, such
+    /// as a chunked stream after its head.
+    pub(crate) fn take_buffered(&mut self) -> Vec<u8> {
+        let rest = self.inner.buf.split_off(self.inner.consumed);
+        self.inner.buf.clear();
+        self.inner.consumed = 0;
+        rest
+    }
 }
 
 /// The reason phrase of the status codes this server emits.

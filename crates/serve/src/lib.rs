@@ -8,12 +8,10 @@
 //! (`reactor`, Linux; a thread-per-connection fallback elsewhere),
 //! per-tenant token-bucket admission and in-system quotas ([`tenant`]),
 //! a tenant-fair bounded job queue with explicit backpressure
-//! (`bea-core`'s `FairQueue`), a worker pool that drains jobs through
-//! the same deterministic campaign path batch runs use — stacking
-//! compatible jobs into shared forward passes via `bea-core`'s
-//! `BatchGate` ([`server`]) — Prometheus-text metrics ([`metrics`]) and
-//! a minimal blocking client for load generation and tests
-//! ([`client`]).
+//! (`bea-core`'s `FairQueue`), a worker pool that drains jobs one at a
+//! time per worker through the same deterministic campaign path batch
+//! runs use ([`server`]), Prometheus-text metrics ([`metrics`]) and a
+//! minimal blocking client for load generation and tests ([`client`]).
 //!
 //! # Endpoints
 //!
@@ -21,7 +19,7 @@
 //! |---|---|
 //! | `POST /v1/attacks` | Submit a JSON job: `202` + id, or `429` + `Retry-After` when the queue is full |
 //! | `GET /v1/attacks/{id}` | Job status (`queued` / `running` / `done` / `failed`) |
-//! | `GET /v1/attacks/{id}/csv` | The persisted cell CSV once done (`409` before) |
+//! | `GET /v1/attacks/{id}/csv` | The job's persisted cell CSV once done (`409` before) |
 //! | `GET /healthz` | Liveness plus queue depth and in-flight count |
 //! | `GET /metrics` | Prometheus text: queue gauges, job counters, cache counters, latency histograms |
 //! | `POST /v1/shutdown` | Ask the embedding process to drain and stop |
@@ -32,7 +30,10 @@
 //! `(base_seed, model_seed, image_index)` exactly as a batch campaign
 //! derives it, and its result persists through the same store writer —
 //! so the CSV served for a job is byte-identical to a direct
-//! `Campaign` run of the same cell.
+//! `Campaign` run of the same cell with the same configuration. Each
+//! result has its own store, keyed by everything that determines it
+//! (`AttackJob::result_key`), so jobs on one cell never overwrite each
+//! other's CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,11 +7,15 @@
 //!    [`Campaign`] with `jobs: 1`, so the persisted cell CSV is
 //!    byte-identical to a direct campaign run of the same cell with the
 //!    same base seed and GA budget (the seed derives from the cell
-//!    identity via `derive_cell_seed`, never from arrival order).
+//!    identity via `derive_cell_seed`, never from arrival order). Each
+//!    result persists in its own [`CampaignStore`] under
+//!    `jobs/<key>/`, keyed by [`AttackJob::result_key`], so jobs on one
+//!    cell that differ in seed, budget or inline image never overwrite
+//!    each other's CSV.
 //! 2. **No accepted job is lost.** `POST /v1/attacks` registers the job
 //!    and appends it to `jobs.jsonl` *before* answering `202`; a full
 //!    queue answers `429` without logging anything. On restart the log
-//!    replays: jobs whose cell CSV exists report `done`, the rest
+//!    replays: jobs whose result CSV exists report `done`, the rest
 //!    re-enqueue.
 //! 3. **Backpressure, not buffering.** The queue is bounded; admission
 //!    control is explicit (`429` + `Retry-After`) instead of unbounded
@@ -21,19 +25,18 @@ use crate::http::{chunked_head, encode_chunk, final_chunk, Request, RequestParse
 use crate::metrics::Metrics;
 use crate::progress::ProgressFeed;
 use crate::tenant::{TenantGovernor, TenantPolicy};
-use bea_core::batch::{BatchGate, GateDetector};
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::telemetry::{self, JsonObject};
 use bea_core::transfer::read_matrix_csv;
 use bea_core::{AttackJob, FairQueue, JobStatus, PushError};
-use bea_detect::{CacheStats, Detector, ModelZoo};
+use bea_detect::{CacheStats, ModelZoo};
 use bea_scene::SyntheticKitti;
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Server configuration.
@@ -45,8 +48,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound of the job queue; submissions beyond it get `429`.
     pub queue_capacity: usize,
-    /// Directory of the [`CampaignStore`] results persist into (also
-    /// holds `jobs.jsonl` and `requests.jsonl`).
+    /// Directory results persist under (one [`CampaignStore`] per
+    /// result in `jobs/<key>/`) beside `jobs.jsonl` and
+    /// `requests.jsonl`.
     pub store_dir: PathBuf,
     /// The dataset `image_index` submissions resolve against.
     pub dataset: SyntheticKitti,
@@ -59,11 +63,6 @@ pub struct ServerConfig {
     /// identical either way; off epoll-less platforms the server falls
     /// back to the blocking front-end.
     pub reactor: bool,
-    /// Upper bound on cross-job batching: up to this many compatible
-    /// queued jobs (same architecture, model seed and kernel policy,
-    /// cache off) run as one gate group whose per-generation forward
-    /// passes stack into a single batched call. `1` disables batching.
-    pub batch_max: usize,
     /// Per-tenant admission policy (rate limit and in-system quota).
     pub tenant_policy: TenantPolicy,
     /// How many `done` records the startup compaction of `jobs.jsonl`
@@ -97,7 +96,6 @@ impl ServerConfig {
             drain_deadline: Duration::from_secs(60),
             request_log: true,
             reactor: false,
-            batch_max: 1,
             tenant_policy: TenantPolicy::default(),
             done_retention: 64,
             idle_timeout: Duration::from_secs(30),
@@ -149,24 +147,35 @@ pub(crate) struct Shared {
     idle: Condvar,
     pub(crate) metrics: Metrics,
     cache_totals: Mutex<CacheStats>,
-    store: CampaignStore,
+    store_dir: PathBuf,
     zoo: ModelZoo,
     dataset: SyntheticKitti,
     job_log: Mutex<()>,
     job_log_path: PathBuf,
     request_log_path: Option<PathBuf>,
     request_log: Mutex<()>,
-    batch_max: usize,
     pub(crate) idle_timeout: Duration,
     pub(crate) conn_requests_max: usize,
     id_stride: u64,
 }
 
 impl Shared {
-    fn append_line(&self, path: &PathBuf, line: &str) -> io::Result<()> {
+    /// Appends `line` and its newline in one write, so a kill leaves at
+    /// most one unterminated record at the end of the file.
+    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
         let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")
+        file.write_all(format!("{line}\n").as_bytes())
+    }
+
+    /// The store one job's result persists in: `jobs/<key>/` under the
+    /// store directory, keyed by [`AttackJob::result_key`].
+    fn job_store(&self, job: &AttackJob) -> io::Result<CampaignStore> {
+        CampaignStore::open(self.store_dir.join("jobs").join(format!("{:016x}", job.result_key())))
+    }
+
+    /// Path of a job's persisted result CSV.
+    fn result_path(&self, job: &AttackJob) -> io::Result<PathBuf> {
+        Ok(self.job_store(job)?.cell_path(&job.cell_spec()))
     }
 
     /// Appends one accepted job to the job log (the restart-survival
@@ -240,7 +249,7 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds, recovers persisted jobs and starts accepting.
     ///
-    /// Recovery replays `jobs.jsonl`: a job whose cell CSV already
+    /// Recovery replays `jobs.jsonl`: a job whose result CSV already
     /// exists in the store reports `done`; every other logged job —
     /// including jobs that were mid-flight when the previous process
     /// died — re-enqueues and runs again (re-running a deterministic
@@ -249,9 +258,11 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind and store I/O failures, and reports a corrupt
-    /// job log as [`io::ErrorKind::InvalidData`].
+    /// job log as [`io::ErrorKind::InvalidData`]. An unterminated last
+    /// record is not corruption: the append that wrote it was cut short
+    /// before its `202` went out, so recovery drops it.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let store = CampaignStore::open(&config.store_dir)?;
+        std::fs::create_dir_all(&config.store_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -267,12 +278,11 @@ impl Server {
             cache_totals: Mutex::new(CacheStats::default()),
             job_log_path: config.store_dir.join("jobs.jsonl"),
             request_log_path: config.request_log.then(|| config.store_dir.join("requests.jsonl")),
-            store,
+            store_dir: config.store_dir,
             zoo: ModelZoo::with_defaults(),
             dataset: config.dataset,
             job_log: Mutex::new(()),
             request_log: Mutex::new(()),
-            batch_max: config.batch_max.max(1),
             idle_timeout: config.idle_timeout,
             conn_requests_max: config.conn_requests_max.max(1),
             id_stride: config.id_stride.max(1),
@@ -286,7 +296,11 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        recover_jobs(&shared, config.done_retention)?;
+        if let Err(e) = recover_jobs(&shared, config.done_retention) {
+            // Release the workers already waiting on the queue.
+            shared.queue.close();
+            return Err(e);
+        }
 
         let accept_handle = spawn_front_end(config.reactor, listener, Arc::clone(&shared))?;
         Ok(Server {
@@ -301,11 +315,6 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The store results persist into.
-    pub fn store(&self) -> &CampaignStore {
-        &self.shared.store
     }
 
     /// `true` once a client requested `POST /v1/shutdown`; the embedding
@@ -391,11 +400,17 @@ fn spawn_front_end(
 /// log on the way.
 ///
 /// Without compaction the append-only log grows by one record per
-/// accepted job forever. On startup, records whose cells are already
+/// accepted job forever. On startup, records whose results are already
 /// persisted (the job is `done`) are dropped from the log — except the
 /// newest `done_retention`, which are kept so recently finished jobs
 /// still report `done` after a restart. Pending records are always
 /// kept; replay behaviour for them is unchanged.
+///
+/// A final segment without its newline is a record whose append was
+/// cut short — never acknowledged, since the `202` leaves only after
+/// the write returns. Recovery drops it and rewrites the log, so the
+/// next append starts on a fresh line. Any other unparsable line
+/// refuses startup.
 fn recover_jobs(shared: &Arc<Shared>, done_retention: usize) -> io::Result<()> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let text = match std::fs::read_to_string(&shared.job_log_path) {
@@ -403,9 +418,11 @@ fn recover_jobs(shared: &Arc<Shared>, done_retention: usize) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
+    let complete = text.rfind('\n').map_or("", |nl| &text[..=nl]);
+    let torn_tail = complete.len() < text.len();
     let mut records: Vec<(u64, AttackJob, bool)> = Vec::new();
     let mut max_id = 0u64;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+    for line in complete.lines().filter(|l| !l.trim().is_empty()) {
         let record = bea_core::telemetry::parse_json(line)
             .map_err(|e| invalid(format!("corrupt job log line: {e}")))?;
         let id = record
@@ -417,10 +434,10 @@ fn recover_jobs(shared: &Arc<Shared>, done_retention: usize) -> io::Result<()> {
         let job = AttackJob::from_json(&job_field.render())
             .map_err(|e| invalid(format!("corrupt logged job {id}: {e}")))?;
         max_id = max_id.max(id);
-        let done = shared.store.cell_path(&job.cell_spec()).exists();
+        let done = shared.result_path(&job)?.exists();
         records.push((id, job, done));
     }
-    compact_job_log(shared, &records, done_retention)?;
+    compact_job_log(shared, &records, done_retention, torn_tail)?;
 
     for (id, job, done) in records {
         let status = if done { JobStatus::Done } else { JobStatus::Queued };
@@ -472,20 +489,22 @@ fn progress_end_line(status: &JobStatus) -> String {
     }
 }
 
-/// Rewrites `jobs.jsonl` keeping every pending record plus the newest
-/// `done_retention` done records, preserving record order. A no-op
-/// when nothing would be dropped. The rewrite goes through a temp file
-/// and rename so a crash mid-compaction leaves the old log intact.
+/// Rewrites `jobs.jsonl` from the parsed `records`, keeping every
+/// pending record plus the newest `done_retention` done records in
+/// record order. A no-op when no record would be dropped and the file
+/// has no torn tail to cut. The rewrite goes through a temp file and
+/// rename so a crash mid-compaction leaves the old log intact.
 fn compact_job_log(
     shared: &Arc<Shared>,
     records: &[(u64, AttackJob, bool)],
     done_retention: usize,
+    torn_tail: bool,
 ) -> io::Result<()> {
     let done_total = records.iter().filter(|(_, _, done)| *done).count();
-    if done_total <= done_retention {
+    if done_total <= done_retention && !torn_tail {
         return Ok(());
     }
-    let mut drop_budget = done_total - done_retention;
+    let mut drop_budget = done_total.saturating_sub(done_retention);
     let mut kept = String::new();
     for (id, job, done) in records {
         // Records drop oldest-first: the budget consumes leading done
@@ -708,7 +727,7 @@ fn metrics(shared: &Shared) -> Response {
 /// cell counts and per-target-group mean transferred degradation over
 /// the off-diagonal cells.
 fn transfer_summary(shared: &Shared) -> Response {
-    let base = shared.store.root().join("transfer");
+    let base = shared.store_dir.join("transfer");
     let mut candidates: Vec<(String, PathBuf)> = vec![("transfer".to_string(), base.clone())];
     if let Ok(entries) = std::fs::read_dir(&base) {
         let mut children: Vec<PathBuf> =
@@ -871,48 +890,24 @@ fn job_csv(id_text: &str, shared: &Shared) -> Response {
             &format!("job-{id} is {}, results exist once it is done", entry.status.name()),
         );
     }
-    match std::fs::read(shared.store.cell_path(&entry.job.cell_spec())) {
+    match shared.result_path(&entry.job).and_then(std::fs::read) {
         Ok(bytes) => Response::new(200).with_body("text/csv", bytes),
         Err(e) => error_response(500, &format!("stored cell unreadable: {e}")),
     }
 }
 
-/// Two queued jobs may share one gate group when they hit the same
-/// model with the same kernels and neither evaluates through the
-/// inference cache. The cached path runs `detect_masked_batch` against
-/// a single clean frame, which cannot stack across jobs; the uncached
-/// path materialises arbitrary perturbed images, which can.
-fn batchable(a: &QueuedJob, b: &QueuedJob) -> bool {
-    !a.job.use_cache
-        && !b.job.use_cache
-        && a.job.arch == b.job.arch
-        && a.job.model_seed == b.job.model_seed
-        && a.job.kernel_policy == b.job.kernel_policy
-}
-
-/// One worker: pop a compatible group, run it (batched when the group
-/// has company), persist, account.
+/// One worker: pop a job, run it, persist, account.
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(group) = shared.queue.pop_group(shared.batch_max, batchable) {
-        for queued in &group {
-            shared.set_status(queued.id, JobStatus::Running);
-        }
-        *shared.in_flight.lock().expect("in-flight lock") += group.len();
-        let released = group.len();
-        if group.len() == 1 {
-            let queued = &group[0];
-            let feed = shared.feed_of(queued.id);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(shared, &queued.job, None, &feed)
-            }))
-            .unwrap_or_else(|panic| Err(panic_message(panic)));
-            finish_job(shared, queued, outcome);
-        } else {
-            run_group(shared, &group);
-        }
-        let mut in_flight = shared.in_flight.lock().expect("in-flight lock");
-        *in_flight -= released;
-        drop(in_flight);
+    while let Some(queued) = shared.queue.pop() {
+        shared.set_status(queued.id, JobStatus::Running);
+        *shared.in_flight.lock().expect("in-flight lock") += 1;
+        let feed = shared.feed_of(queued.id);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(shared, &queued.job, &feed)
+        }))
+        .unwrap_or_else(|panic| Err(panic_message(panic)));
+        finish_job(shared, &queued, outcome);
+        *shared.in_flight.lock().expect("in-flight lock") -= 1;
         shared.idle.notify_all();
     }
 }
@@ -949,51 +944,13 @@ fn finish_job(shared: &Shared, queued: &QueuedJob, outcome: Result<Option<CacheS
     shared.governor.release(&queued.job.tenant);
 }
 
-/// Runs a multi-job gate group: one shared detector, one member thread
-/// per job, per-generation forward passes merged by the [`BatchGate`].
-///
-/// Every member runs its own single-cell campaign with `threads = 1`
-/// (the group is the parallelism; the gate requires one post per member
-/// per round), so each job's CSV is byte-identical to a solo run — the
-/// union pass is a pure speed knob by the `detect_batch` contract.
-fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
-    let lead = &group[0].job;
-    let zoo = shared.zoo.clone().with_kernel_policy(lead.kernel_policy);
-    let gate = BatchGate::new(zoo.model(lead.arch, lead.model_seed), group.len());
-    std::thread::scope(|scope| {
-        for (member, queued) in group.iter().enumerate() {
-            let detector = gate.member(member);
-            let gate_ref = &gate;
-            let feed = shared.feed_of(queued.id);
-            scope.spawn(move || {
-                // `detector` moves into the catch_unwind closure; if
-                // the attack panics, unwinding drops it, the member
-                // departs the gate and the rest of the group carries
-                // on.
-                let _ = gate_ref;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job(shared, &queued.job, Some(detector), &feed)
-                }))
-                .unwrap_or_else(|panic| Err(panic_message(panic)));
-                finish_job(shared, queued, outcome);
-            });
-        }
-    });
-}
-
 /// Runs one job as a single-cell campaign and persists its rows.
 ///
-/// The campaign runs in memory (`jobs: 1`, telemetry off) and the cell
-/// is saved through the same [`CampaignStore::save_cell`] writer a
-/// direct campaign uses — that is what makes the served CSV
+/// The campaign runs in memory (`jobs: 1`, telemetry off), spreading
+/// each generation's masks over every core, and the cell is saved into
+/// the job's own store through the same [`CampaignStore::save_cell`]
+/// writer a direct campaign uses — that is what makes the served CSV
 /// byte-identical to a batch run of the same cell.
-///
-/// A solo job builds its detector from the zoo and spreads each
-/// generation's masks over every core. A gate-group member runs against
-/// its [`GateDetector`] handle with `threads = 1`: the gate needs exactly
-/// one `detect_batch` post per member per generation (two evaluation
-/// threads posting as one member abort the process), and the group
-/// itself is the parallelism. The thread setting only changes speed.
 ///
 /// Per-generation telemetry records stream into `feed` as the GA runs;
 /// observation never touches campaign state, so the persisted rows are
@@ -1001,41 +958,33 @@ fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
 fn run_job(
     shared: &Shared,
     job: &AttackJob,
-    member: Option<GateDetector>,
     feed: &ProgressFeed,
 ) -> Result<Option<CacheStats>, String> {
     let image = job.materialize_image(&shared.dataset)?;
     let spec = job.cell_spec();
-    let mut attack = job.attack_config();
-    if member.is_some() {
-        attack.threads = 1;
-    }
     let campaign = Campaign::new(CampaignConfig {
-        attack,
+        attack: job.attack_config(),
         base_seed: job.base_seed,
         jobs: 1,
         telemetry: false,
     });
-    let arch = job.arch;
-    let use_cache = job.use_cache;
     let zoo = shared.zoo.clone().with_kernel_policy(job.kernel_policy);
-    // `detector_for` is `Fn` but this campaign visits exactly one cell,
-    // so a gate member is moved out of its slot on that one call.
-    let member = Mutex::new(member);
     let result = campaign.run_observed(
         std::slice::from_ref(&spec),
-        |cell| match member.lock().unwrap_or_else(PoisonError::into_inner).take() {
-            Some(member) => Box::new(member) as Box<dyn Detector>,
-            None if use_cache => zoo.cached_model(arch, cell.model_seed),
-            None => zoo.model(arch, cell.model_seed),
+        |cell| {
+            if job.use_cache {
+                zoo.cached_model(job.arch, cell.model_seed)
+            } else {
+                zoo.model(job.arch, cell.model_seed)
+            }
         },
         |_cell| image.clone(),
         &|_cell, line| feed.push(line.to_string()),
     );
     let cell = &result.cells[0];
     shared
-        .store
-        .save_cell(&spec, &cell.rows)
+        .job_store(job)
+        .and_then(|store| store.save_cell(&spec, &cell.rows))
         .map_err(|e| format!("persisting cell failed: {e}"))?;
     Ok(cell.outcome.as_ref().and_then(|o| o.cache_stats()))
 }

@@ -1,11 +1,11 @@
-//! Integration tests for the event-driven front-end, cross-job
-//! batching, tenant admission control and job-log compaction.
+//! Integration tests for the event-driven front-end, per-config result
+//! stores, tenant admission control and job-log recovery.
 //!
 //! The determinism anchor from `server_roundtrip` carries over
-//! unchanged: whatever the transport (reactor vs. thread-per-connection)
-//! and whatever the execution shape (solo vs. gate group), the CSV a job
-//! serves must be byte-identical to a direct `Campaign` run of the same
-//! cell.
+//! unchanged: whatever the transport (reactor vs. thread-per-connection),
+//! the CSV a job serves must be byte-identical to a direct `Campaign` run
+//! of the same job — including when another job on the same cell, with
+//! a different seed, finished after it.
 
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::AttackJob;
@@ -21,15 +21,14 @@ fn scratch(tag: &str) -> PathBuf {
     root
 }
 
-/// A reactor-mode configuration with cross-job batching enabled.
-fn reactor_config(store_dir: PathBuf, workers: usize, batch_max: usize) -> ServerConfig {
+/// A reactor-mode configuration on the smoke dataset.
+fn reactor_config(store_dir: PathBuf, workers: usize) -> ServerConfig {
     ServerConfig {
         workers,
         queue_capacity: 32,
         dataset: SyntheticKitti::smoke_set(),
         drain_deadline: Duration::from_secs(120),
         reactor: true,
-        batch_max,
         ..ServerConfig::new(store_dir)
     }
 }
@@ -43,25 +42,25 @@ const POLL: Duration = Duration::from_millis(50);
 const DEADLINE: Duration = Duration::from_secs(120);
 
 #[test]
-fn reactor_batched_jobs_serve_byte_identical_csv() {
-    let store_dir = scratch("batched");
-    // One worker and a generous batch bound: the first job occupies the
-    // worker while the rest queue up, so the next pop takes a multi-job
-    // gate group through the stacked forward pass.
-    let server = Server::start(reactor_config(store_dir.clone(), 1, 8)).expect("server starts");
+fn reactor_jobs_serve_byte_identical_csv() {
+    let store_dir = scratch("identity");
+    // One worker: the jobs queue up and run one after another, so the
+    // seed-6 job on image 0's cell finishes after the seed-5 one.
+    let server = Server::start(reactor_config(store_dir.clone(), 1)).expect("server starts");
     let client = Client::new(server.addr().to_string());
 
-    // Four compatible jobs: same model, same kernels, distinct images —
-    // each is its own campaign cell.
-    let body = |image: usize| {
+    let body = |image: usize, seed: u64| {
         format!(
             "{{\"arch\":\"yolo\",\"model_seed\":1,\"image_index\":{image},\
-             \"pop\":8,\"gens\":2,\"seed\":5,\"tenant\":\"team-a\"}}"
+             \"pop\":8,\"gens\":2,\"seed\":{seed},\"tenant\":\"team-a\"}}"
         )
     };
+    // Four distinct cells, then image 0's cell again under another base
+    // seed: same cell, different result.
+    let inputs = [(0, 5), (1, 5), (2, 5), (3, 5), (0, 6)];
     let mut ids = Vec::new();
-    for image in 0..4 {
-        let accepted = client.submit(&body(image)).expect("submit");
+    for (image, seed) in inputs {
+        let accepted = client.submit(&body(image, seed)).expect("submit");
         assert_eq!(accepted.status, 202, "{:?}", accepted.body_text());
         ids.push(job_id(accepted.body_text().unwrap()));
     }
@@ -74,50 +73,50 @@ fn reactor_batched_jobs_serve_byte_identical_csv() {
         );
     }
 
-    // Byte-identity against a direct campaign over the same four cells
-    // (the jobs share attack config and base seed, so one grid covers
-    // them all).
-    let direct_dir = scratch("batched_direct");
-    let direct_store = CampaignStore::open(&direct_dir).expect("store opens");
+    // Byte-identity of every served CSV against a direct campaign run of
+    // its own job.
     let zoo = ModelZoo::with_defaults();
     let dataset = SyntheticKitti::smoke_set();
-    let lead = AttackJob::from_json(&body(0)).expect("job parses");
-    let specs: Vec<_> =
-        (0..4).map(|image| AttackJob::from_json(&body(image)).unwrap().cell_spec()).collect();
-    let campaign = Campaign::new(CampaignConfig {
-        attack: lead.attack_config(),
-        base_seed: lead.base_seed,
-        jobs: 1,
-        telemetry: false,
-    });
-    campaign
+    let mut served_csvs = Vec::new();
+    for (k, ((image, seed), id)) in inputs.iter().zip(&ids).enumerate() {
+        let job = AttackJob::from_json(&body(*image, *seed)).expect("job parses");
+        let direct_dir = scratch(&format!("identity_direct_{k}"));
+        let direct_store = CampaignStore::open(&direct_dir).expect("store opens");
+        let spec = job.cell_spec();
+        Campaign::new(CampaignConfig {
+            attack: job.attack_config(),
+            base_seed: job.base_seed,
+            jobs: 1,
+            telemetry: false,
+        })
         .run_with_store(
-            &specs,
+            std::slice::from_ref(&spec),
             |cell| zoo.model(Architecture::Yolo, cell.model_seed),
             |cell| dataset.image(cell.image_index),
             &direct_store,
         )
         .expect("direct run");
-    for (image, (id, spec)) in ids.iter().zip(&specs).enumerate() {
         let served = client.csv(id).expect("csv");
         assert_eq!(served.status, 200);
-        let direct_bytes = std::fs::read(direct_store.cell_path(spec)).expect("direct cell");
+        let direct_bytes = std::fs::read(direct_store.cell_path(&spec)).expect("direct cell");
         assert_eq!(
             served.body, direct_bytes,
-            "cell for image {image} diverged between gated serving and a direct run"
+            "{id} (image {image}, seed {seed}) diverged from a direct run of its own config"
         );
+        served_csvs.push(served.body);
+        let _ = std::fs::remove_dir_all(&direct_dir);
     }
+    assert_ne!(served_csvs[0], served_csvs[4], "the two image-0 jobs have different results");
 
     let report = server.shutdown();
     assert!(!report.deadline_expired);
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&direct_dir);
 }
 
 #[test]
 fn tenants_are_rate_limited_and_quota_bounded_independently() {
     let store_dir = scratch("tenants");
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     // One token, refilled at one token per 2s, and at most one job in
     // the system per tenant.
     config.tenant_policy = TenantPolicy { rate: 0.5, burst: 1.0, quota: 1 };
@@ -198,7 +197,7 @@ fn job_log_compacts_on_restart_without_changing_replay() {
 
     // Phase 1: run three jobs to completion; the append-only log holds
     // one record per accepted job.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 64;
     let server = Server::start(config).expect("server starts");
     let client = Client::new(server.addr().to_string());
@@ -217,7 +216,7 @@ fn job_log_compacts_on_restart_without_changing_replay() {
 
     // Phase 2: restart with retention 1. Startup compaction drops all
     // but the newest done record; the retained job still reports done.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 1;
     let server = Server::start(config).expect("server restarts");
     let client = Client::new(server.addr().to_string());
@@ -235,12 +234,21 @@ fn job_log_compacts_on_restart_without_changing_replay() {
     assert!(!ids.contains(&late_id), "compaction must not reset id allocation");
     server.shutdown();
 
-    // Phase 3: restart again. Replay of non-done records is unchanged
-    // by compaction: the late job finishes (now or already) and serves
-    // its CSV.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    // A kill mid-append leaves the last record unterminated: the first
+    // half of job-99's record, which was never acknowledged.
+    let log_path = store_dir.join("jobs.jsonl");
+    let log = std::fs::read_to_string(&log_path).expect("job log");
+    let job = AttackJob::from_json(&tiny(6)).expect("job parses").to_json();
+    let record = format!("{{\"type\":\"job\",\"id\":99,\"job\":{job}}}");
+    std::fs::write(&log_path, format!("{log}{}", &record[..record.len() / 2]))
+        .expect("tear the log tail");
+
+    // Phase 3: restart again. The torn record is dropped, and replay of
+    // the other non-done records is unchanged by compaction: the late
+    // job finishes (now or already) and serves its CSV.
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 1;
-    let server = Server::start(config).expect("server restarts again");
+    let server = Server::start(config).expect("a torn tail does not stop startup");
     let client = Client::new(server.addr().to_string());
     let finished = client.wait(&late_id, POLL, DEADLINE).expect("late job finishes");
     assert!(
@@ -249,8 +257,41 @@ fn job_log_compacts_on_restart_without_changing_replay() {
         finished.body_text()
     );
     assert_eq!(client.csv(&late_id).unwrap().status, 200);
+    assert_eq!(client.status("job-99").unwrap().status, 404, "the torn record never replays");
     assert!(log_lines() <= 2, "the log stays bounded across restarts");
-
+    let log = std::fs::read_to_string(&log_path).expect("job log");
+    assert!(log.ends_with('\n'), "the torn tail is cut: {log:?}");
+    // Appends after the cut start on a fresh line.
+    let accepted = client.submit(&tiny(5)).expect("submit");
+    assert_eq!(accepted.status, 202);
+    let after_id = job_id(accepted.body_text().unwrap());
+    client.wait(&after_id, POLL, DEADLINE).expect("job after the cut finishes");
     server.shutdown();
+    let log = std::fs::read_to_string(&log_path).expect("job log");
+    for line in log.lines() {
+        bea_core::telemetry::validate_json(line).expect("every logged record parses");
+    }
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn corrupt_job_log_line_refuses_startup() {
+    let store_dir = scratch("corrupt_log");
+    std::fs::create_dir_all(&store_dir).expect("store dir");
+    let record = |id: u64| {
+        format!(
+            "{{\"type\":\"job\",\"id\":{id},\"job\":{}}}\n",
+            AttackJob::from_json("{\"arch\":\"yolo\"}").unwrap().to_json()
+        )
+    };
+    // Only a torn *last* record is an interrupted append; a bad line in
+    // the middle is corruption.
+    let log = format!("{}{{\"type\":\"job\",\"id\n{}", record(1), record(2));
+    std::fs::write(store_dir.join("jobs.jsonl"), &log).expect("write log");
+    let err = Server::start(reactor_config(store_dir.clone(), 1)).expect_err("refuses to start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("corrupt job log line"), "{err}");
+    let kept = std::fs::read_to_string(store_dir.join("jobs.jsonl")).expect("log kept");
+    assert_eq!(kept, log, "a refused log is left as it was");
     let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -263,10 +263,15 @@ fn shutdown_drains_in_flight_and_restart_recovers_the_queue() {
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
-/// How many cell CSVs the store holds (one per finished job here, since
-/// every submitted job targets a distinct cell).
+/// How many result CSVs the store holds: one per finished job here,
+/// since every submitted job has its own result store under `jobs/`.
 fn done_count(store_dir: &std::path::Path) -> usize {
-    std::fs::read_dir(store_dir.join("cells")).map(|dir| dir.count()).unwrap_or(0)
+    let Ok(results) = std::fs::read_dir(store_dir.join("jobs")) else { return 0 };
+    results
+        .flatten()
+        .filter_map(|result| std::fs::read_dir(result.path().join("cells")).ok())
+        .map(|cells| cells.count())
+        .sum()
 }
 
 #[test]

@@ -41,7 +41,7 @@ rm -rf "$OUT"
 # measures the connection/submission path, so the open-loop burst must
 # not be refused at the queue (backpressure has its own test coverage).
 ./target/release/serve_cli --addr "$ADDR" --reactor --smoke \
-    --workers 4 --queue "$TOTAL" --batch 8 \
+    --workers 4 --queue "$TOTAL" \
     --tenant-rate 0 --tenant-quota 0 \
     --out "$OUT" &
 SERVER_PID=$!
